@@ -1,5 +1,5 @@
 //! B4 — quantitative-engine benchmarks: absorbing-chain construction and
-//! the two linear solvers (dense elimination vs. sparse Gauss–Seidel).
+//! the two linear solvers (dense elimination vs. sparse BiCGSTAB).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -35,15 +35,8 @@ fn bench_solvers(c: &mut Criterion) {
     let alg = DijkstraRing::on_ring(&builders::ring(5)).unwrap();
     let chain = AbsorbingChain::build(&alg, Daemon::Central, &alg.legitimacy(), 1 << 22).unwrap();
     let n = chain.n_transient();
-    group.bench_function("gauss_seidel/dijkstra_N5", |b| {
-        b.iter(|| {
-            black_box(linalg::gauss_seidel(
-                chain.q(),
-                &vec![1.0; n],
-                1e-12,
-                1_000_000,
-            ))
-        })
+    group.bench_function("bicgstab/dijkstra_N5", |b| {
+        b.iter(|| black_box(linalg::bicgstab(chain.q(), &vec![1.0; n], 1e-12, 1_000_000)))
     });
     // Dense solve on the N=4 chain (216 transient states).
     let alg4 = DijkstraRing::on_ring(&builders::ring(4)).unwrap();

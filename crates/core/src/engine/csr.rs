@@ -6,8 +6,8 @@
 //! builder): one heap allocation and one pointer-chase per row. [`Csr`]
 //! flattens every row into a single `data` vector addressed through an
 //! `offsets` array, which is both allocation-free to traverse and cache
-//! friendly — the layout every analysis (Tarjan, reachability, Gauss–
-//! Seidel) actually wants.
+//! friendly — the layout every analysis (Tarjan, reachability, the
+//! sparse solver) actually wants.
 
 use crate::error::CoreError;
 

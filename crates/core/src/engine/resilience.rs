@@ -23,7 +23,7 @@
 //!   overhead on a bench-sized sweep under 5% instead of ~90%.
 //! * **Budgets** — [`Budget`] carries wall-time / byte / state limits and
 //!   is probed cooperatively inside the exploration loops (and by the
-//!   checker's Tarjan pass and the Markov Gauss–Seidel solver).
+//!   checker's Tarjan pass and the Markov BiCGSTAB solver).
 //!   Exhaustion surfaces as [`CoreError::BudgetExhausted`], which the
 //!   study pipeline converts into a `Degraded` stage status instead of a
 //!   panic or OOM.
@@ -317,7 +317,7 @@ impl Fnv {
 /// Cooperative resource limits for a study run.
 ///
 /// A `Budget` is probed at natural check-points inside the long loops —
-/// exploration batches, Tarjan root visits, Gauss–Seidel sweeps. A probe
+/// exploration batches, Tarjan root visits, BiCGSTAB iterations. A probe
 /// that finds a limit exhausted returns
 /// [`CoreError::BudgetExhausted`], which callers propagate so the study
 /// pipeline can record a `Degraded` stage outcome and keep whatever
@@ -363,8 +363,8 @@ impl Budget {
     }
 
     /// Caps the bytes a probing stage may hold (as self-reported at each
-    /// probe — edge-store bytes for exploration, solver vectors for
-    /// Gauss–Seidel).
+    /// probe — edge-store bytes for exploration, the `Q` cache for the
+    /// BiCGSTAB solver).
     #[must_use]
     pub fn with_max_bytes(mut self, limit: u64) -> Self {
         self.max_bytes = Some(limit);

@@ -15,7 +15,7 @@
 //! * **Roots** ([`default_roots`]) — the public entry points of the
 //!   reproduction: `Study::run`, `TransitionSystem::{explore,
 //!   explore_with, explore_guarded, resume}`, `AbsorbingChain::{build,
-//!   build_with, from_transition_system}`, the Gauss–Seidel / dense
+//!   build_with, from_transition_system}`, the BiCGSTAB / dense
 //!   solvers and the `expected_*` hitting-time surfaces — plus, keeping
 //!   the PR 9 guarantee intact, every method defined directly inside an
 //!   `impl FrameSink` / `impl SpillSink` block.
@@ -144,7 +144,7 @@ pub fn default_roots(resolved: &Resolved) -> Vec<usize> {
         ("AbsorbingChain", "build_with"),
         ("AbsorbingChain", "from_transition_system"),
     ];
-    const FREE_ROOTS: &[&str] = &["gauss_seidel", "gauss_seidel_budgeted", "solve_dense"];
+    const FREE_ROOTS: &[&str] = &["bicgstab", "bicgstab_budgeted", "solve_dense"];
     let mut roots = Vec::new();
     for (idx, it) in resolved.items.iter().enumerate() {
         if it.in_test {

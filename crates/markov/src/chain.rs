@@ -70,11 +70,10 @@ pub struct AbsorbingChain<S> {
     /// Expected number of process activations in one step from each
     /// transient state (the *moves* reward of the quantitative study).
     step_moves: Vec<f64>,
-    /// Whether every transient state reaches absorption with probability 1:
-    /// `Ok(())` or the first offending transient index. Computed lazily on
-    /// the first [`AbsorbingChain::almost_surely_absorbing`] call by a
-    /// backward closure over the inverted `Q` CSR.
-    absorbing: OnceLock<Result<(), u32>>,
+    /// The transient states that reach `L` with positive probability.
+    /// Computed lazily on the first `reaches_l` call by a backward closure
+    /// of the absorbing mass.
+    reaches: OnceLock<BitSet>,
 }
 
 /// Full-space index → explored id.
@@ -243,7 +242,7 @@ impl<S: LocalState> AbsorbingChain<S> {
             q,
             absorb,
             step_moves,
-            absorbing: OnceLock::new(),
+            reaches: OnceLock::new(),
         }
     }
 
@@ -351,19 +350,18 @@ impl<S: LocalState> AbsorbingChain<S> {
         })
     }
 
-    /// Whether every transient state reaches absorption with probability 1
-    /// (backward closure of the absorbing mass; every stored edge has
-    /// positive probability) — the precondition for finite expected
-    /// hitting times. Computed once, lazily; builds that never ask never
-    /// pay for it.
+    /// The transient states that reach `L` with positive probability:
+    /// the backward closure of the absorbing mass (every stored edge has
+    /// positive probability). Computed once, lazily; builds that never ask
+    /// never pay for it.
     ///
     /// The in-RAM tiers run a BFS over the inverted `Q` CSR; the disk
     /// tier never materialises the reverse at all — it iterates streaming
     /// forward fixpoint sweeps (mark a row once some successor is
     /// marked), rotating spill chunks through the pinned cache, so the
     /// resident set stays the cache plus one bitset.
-    pub fn almost_surely_absorbing(&self) -> Result<(), MarkovError> {
-        let outcome = self.absorbing.get_or_init(|| {
+    pub(crate) fn reaches_l(&self) -> &BitSet {
+        self.reaches.get_or_init(|| {
             let n = self.n_transient();
             let mut can = BitSet::new(n);
             if self.q.kind() == EdgeStoreKind::Disk {
@@ -403,16 +401,24 @@ impl<S: LocalState> AbsorbingChain<S> {
                     }
                 }
             }
-            match (0..n).find(|&i| !can.get(i)) {
-                None => Ok(()),
-                // lint: cast-ok(row indices are bounded by the u32 id width)
-                Some(t) => Err(t as u32),
-            }
-        });
-        match *outcome {
-            Ok(()) => Ok(()),
-            Err(t) => Err(MarkovError::NotAbsorbing {
-                config: self.render(t as usize),
+            can
+        })
+    }
+
+    /// Whether every transient state reaches absorption with probability 1
+    /// — the precondition for finite expected hitting times. On a finite
+    /// chain this holds exactly when every transient state reaches `L`.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::NotAbsorbing`] naming the first transient state that
+    /// cannot reach `L`.
+    pub fn almost_surely_absorbing(&self) -> Result<(), MarkovError> {
+        let can = self.reaches_l();
+        match (0..can.len()).find(|&i| !can.get(i)) {
+            None => Ok(()),
+            Some(t) => Err(MarkovError::NotAbsorbing {
+                config: self.render(t),
             }),
         }
     }

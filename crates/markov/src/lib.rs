@@ -14,7 +14,7 @@
 //!
 //! gives the exact expected stabilization time `t(γ)` from every
 //! configuration `γ`. This crate builds the chain ([`AbsorbingChain`]),
-//! solves the equation by dense Gaussian elimination or sparse Gauss–Seidel
+//! solves the equation by dense Gaussian elimination or sparse BiCGSTAB
 //! ([`linalg`]), verifies almost-sure absorption (Theorems 7–9), and
 //! computes hitting-time distributions.
 //!

@@ -19,9 +19,12 @@
 //! `ExploreOptions::with_edge_store(EdgeStoreKind::Compressed)` keeps its
 //! memory profile through the whole Markov pipeline: the solvers
 //! ([`crate::linalg`]) iterate rows through the [`QRows`] trait and never
-//! materialise a flat copy. The tradeoff is deliberate: Gauss–Seidel
-//! sweeps re-decode the stream (and, on the disk tier, re-fault chunks
-//! through the cache) each iteration, paying time for the memory
+//! materialise a flat copy. The chain dispatches the tier once per
+//! solve, so the solver runs monomorphically over the concrete cursor
+//! ([`QStorage::row_iter`]'s per-entry enum is for callers that walk a
+//! few rows). The tradeoff is deliberate: every matrix-vector product of
+//! the BiCGSTAB solve re-decodes the stream (and, on the disk tier,
+//! re-faults chunks through the cache), paying time for the memory
 //! reduction that lets 10⁹-entry chains fit at all.
 
 use stab_core::engine::edgestore::{invert_target_rows, DeltaStreamReader, DeltaStreamWriter};

@@ -31,14 +31,14 @@ fn chain_strategy() -> impl Strategy<Value = Vec<Vec<(u32, f64)>>> {
 }
 
 proptest! {
-    /// Gauss–Seidel agrees with dense elimination on random substochastic
+    /// BiCGSTAB agrees with dense elimination on random substochastic
     /// systems.
     #[test]
     fn solvers_agree(rows in chain_strategy()) {
         let n = rows.len();
         let b = vec![1.0; n];
         let q = QMatrix::from_rows(rows);
-        let gs = linalg::gauss_seidel(&q, &b, 1e-13, 1_000_000).unwrap();
+        let sparse = linalg::bicgstab(&q, &b, 1e-13, 1_000_000).unwrap().x;
         let mut a = vec![vec![0.0; n]; n];
         for (i, row) in q.rows().enumerate() {
             a[i][i] += 1.0;
@@ -48,7 +48,7 @@ proptest! {
         }
         let dense = linalg::solve_dense(a, b).unwrap();
         for i in 0..n {
-            prop_assert!((gs[i] - dense[i]).abs() < 1e-7, "state {}: {} vs {}", i, gs[i], dense[i]);
+            prop_assert!((sparse[i] - dense[i]).abs() < 1e-7, "state {}: {} vs {}", i, sparse[i], dense[i]);
         }
     }
 
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn unit_reward_solutions_exceed_one(rows in chain_strategy()) {
         let n = rows.len();
-        let x = linalg::gauss_seidel(&QMatrix::from_rows(rows), &vec![1.0; n], 1e-12, 1_000_000).unwrap();
+        let x = linalg::bicgstab(&QMatrix::from_rows(rows), &vec![1.0; n], 1e-12, 1_000_000).unwrap().x;
         for (i, v) in x.iter().enumerate() {
             prop_assert!(*v >= 1.0 - 1e-9, "state {}: {}", i, v);
         }
@@ -70,10 +70,10 @@ proptest! {
         let n = rows.len();
         prop_assume!(r1.len() >= n && r2.len() >= n);
         let q = QMatrix::from_rows(rows);
-        let a = linalg::gauss_seidel(&q, &r1[..n], 1e-13, 1_000_000).unwrap();
-        let b = linalg::gauss_seidel(&q, &r2[..n], 1e-13, 1_000_000).unwrap();
+        let a = linalg::bicgstab(&q, &r1[..n], 1e-13, 1_000_000).unwrap().x;
+        let b = linalg::bicgstab(&q, &r2[..n], 1e-13, 1_000_000).unwrap().x;
         let sum: Vec<f64> = r1[..n].iter().zip(&r2[..n]).map(|(x, y)| x + y).collect();
-        let c = linalg::gauss_seidel(&q, &sum, 1e-13, 1_000_000).unwrap();
+        let c = linalg::bicgstab(&q, &sum, 1e-13, 1_000_000).unwrap().x;
         for i in 0..n {
             prop_assert!((a[i] + b[i] - c[i]).abs() < 1e-6);
         }

@@ -72,8 +72,8 @@ fn tier_differential<S: LocalState>(
     assert_eq!(comp.transient_orbits(), flat.transient_orbits());
     assert!(comp.validate_stochastic(), "{label}: stochastic");
 
-    // Quantitative agreement through the solvers (Gauss–Seidel decodes
-    // the stream every sweep on the compressed tier).
+    // Quantitative agreement through the solvers (BiCGSTAB decodes the
+    // stream every matrix-vector product on the compressed tier).
     assert_eq!(
         flat.almost_surely_absorbing().is_ok(),
         comp.almost_surely_absorbing().is_ok(),

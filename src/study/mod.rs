@@ -65,7 +65,7 @@
 //! engine's `resilience` module for the machinery):
 //!
 //! * [`Study::budget`] threads a [`Budget`] through exploration, the
-//!   checker's Tarjan/verdict analyses and the Gauss–Seidel solver.
+//!   checker's Tarjan/verdict analyses and the BiCGSTAB solver.
 //!   Exhaustion does **not** fail the run: the starved stage records
 //!   [`Outcome::Degraded`] in the report's [`StatusSection`], downstream
 //!   stages that needed its output record [`Outcome::Skipped`], and
@@ -541,11 +541,16 @@ where
             if let Some(chain) = chain.filter(|_| self.expected) {
                 let start = Instant::now();
                 let budget = guard.budget();
-                match (
-                    chain.expected_steps_with(budget),
-                    chain.absorption_probabilities_with(budget),
-                ) {
-                    (Ok(times), Ok(probs)) => {
+                // The absorption probabilities only feed a solved
+                // section, so they are asked for only once the expected
+                // times exist.
+                let solved = chain.expected_steps_with(budget).and_then(|times| {
+                    chain
+                        .absorption_probabilities_with(budget)
+                        .map(|probs| (times, probs))
+                });
+                match solved {
+                    Ok((times, probs)) => {
                         let min_absorption = probs.into_iter().fold(1.0f64, f64::min);
                         expected_times = Some(ExpectedSection::Solved(ExpectedTimes {
                             n_transient: chain.n_transient() as u64,
@@ -559,13 +564,12 @@ where
                         }));
                         expected_outcome = Outcome::Complete;
                     }
-                    (Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. })), _)
-                    | (_, Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. }))) => {
+                    Err(MarkovError::Core(e @ CoreError::BudgetExhausted { .. })) => {
                         expected_outcome = Outcome::Degraded {
                             reason: e.to_string(),
                         };
                     }
-                    (Err(e), _) | (_, Err(e)) => {
+                    Err(e) => {
                         // "No finite expected time" is itself a result.
                         expected_times = Some(ExpectedSection::Unsolvable {
                             error: e.to_string(),

@@ -6,10 +6,11 @@
 //! hand-tuned PR 4 pipeline's exact expected times bit for bit.
 //!
 //! The exploration counter is process-wide, and libtest runs the tests
-//! of this binary on parallel threads: every counter window below holds
-//! [`COUNTER_LOCK`] so a sibling test's explorations can never land
-//! inside it (living in a separate integration-test binary isolates us
-//! from the rest of the suite, but not from ourselves).
+//! of this binary on parallel threads: every test that explores holds
+//! [`COUNTER_LOCK`] for its whole body, so a sibling test's explorations
+//! can never land inside a counter window (living in a separate
+//! integration-test binary isolates us from the rest of the suite, but
+//! not from ourselves).
 
 use std::sync::Mutex;
 
@@ -98,6 +99,9 @@ fn auto_planned_run_is_one_exploration() {
 /// plus the PR 4 rotation-quotient flat-tier arm up to solver tolerance.
 #[test]
 fn herman13_auto_plan_picks_quotient_and_compressed_and_matches_pr4() {
+    // Counts nothing itself, but its three explorations must not land
+    // inside a sibling's counter window.
+    let _window = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let alg = HermanRing::on_ring(&builders::ring(13)).unwrap();
     let spec = alg.legitimacy();
 
