@@ -829,7 +829,8 @@ fn main() {
     // ---- PR 3 rows: dihedral and leaf-permutation quotients --------------
 
     // Dihedral quotient on Herman: ≈ half the rotation quotient's states,
-    // Booth-canonicalized, so the per-state cost stays at the rotation
+    // canonicalized by the same packed-word rotation sweep (over the
+    // reversal too), so the per-state cost stays at the rotation
     // quotient's level while the representative count halves again.
     results.push(run_mode_case(
         "herman/N=13/synchronous",

@@ -34,6 +34,12 @@
 //! `quotient_chain.rs`, `group_canonicalizer_props.rs`) across the zoo
 //! under all four daemons rather than guaranteed a priori — strictly
 //! equivariant algorithms need no such caveat.
+//!
+//! The gate runs once per study: [`Plan::compute`](super::Plan::compute)
+//! gates each candidate group, and the options
+//! [`Plan::options`](super::Plan::options) returns carry a [`GateStamp`]
+//! of the gate that passed, which the exploration accepts in place of a
+//! second run when it names the run being explored.
 
 use std::collections::HashMap;
 
@@ -44,7 +50,9 @@ use crate::spec::Legitimacy;
 use crate::CoreError;
 
 use super::explore::conflict_masks;
+use super::onthefly::Quotient;
 use super::quotient::GroupCanonicalizer;
+use super::resilience::Fnv;
 use super::rowgen::RowGen;
 
 /// A cached kernel row: legitimacy, enabled mask, and the successor
@@ -79,6 +87,50 @@ fn samples(total: u64, count: u64) -> impl Iterator<Item = u64> {
     (0..count).map(move |i| i * stride)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Gate runs on this thread, for the tests that pin how often a
+    /// pipeline gates.
+    pub(super) static GATE_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A record that the gate passed for one run: the
+/// [`run_fingerprint`](super::explore::run_fingerprint) identity
+/// (algorithm name, process count, space size, daemon, quotient) and the
+/// specification's name and verdicts over the gate's spec sample. Only
+/// the planner makes one, and only [`Plan::options`](super::Plan::options)
+/// attaches it to options, so it cannot be set from outside the crate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GateStamp(u64);
+
+impl GateStamp {
+    /// The stamp of gating `alg` under `daemon` against `spec` with
+    /// `quotient`.
+    pub(super) fn of<A, L>(
+        alg: &A,
+        ix: &SpaceIndexer<A::State>,
+        daemon: DaemonSpec,
+        spec: &L,
+        quotient: Quotient,
+    ) -> GateStamp
+    where
+        A: Algorithm,
+        L: Legitimacy<A::State>,
+    {
+        let mut h = Fnv::new();
+        h.write(alg.name().as_bytes());
+        h.write_u64(alg.n() as u64);
+        h.write_u64(ix.total());
+        h.write(daemon.name().as_bytes());
+        h.write(quotient.label().as_bytes());
+        h.write(spec.name().as_bytes());
+        for full in samples(ix.total(), SPEC_SAMPLES) {
+            h.write(&[u8::from(spec.is_legitimate(&ix.decode(full)))]);
+        }
+        GateStamp(h.finish())
+    }
+}
+
 /// Applies a node permutation to an enabled/mover bitmask.
 fn permute_mask(mask: u64, perm: &[u32]) -> u64 {
     let mut out = 0u64;
@@ -110,6 +162,8 @@ where
     A: Algorithm,
     L: Legitimacy<A::State>,
 {
+    #[cfg(test)]
+    GATE_RUNS.with(|runs| runs.set(runs.get() + 1));
     let total = ix.total();
 
     // Pass 1: spec invariance under every generator.

@@ -14,12 +14,14 @@
 //!   ([`ExploreOptions::with_quotient`]: ring rotations, ring dihedral, or
 //!   the topology-derived automorphism group — leaf permutations on stars
 //!   and trees) — only the lexicographically-least orbit member gets an
-//!   id; successor edges are canonicalized (Booth's O(N) algorithm on
-//!   rings, plus a per-row memo of repeated successors), and parallel
-//!   edges produced by the folding are merged with their probabilities
-//!   summed. A per-run equivariance/spec-invariance gate rejects
-//!   algorithm–group combinations the quotient is unsound for
-//!   ([`CoreError::QuotientUnsupported`]);
+//!   id; successor edges are canonicalized (on rings, the least rotation
+//!   of a packed-digit word, once per run of repeated successors), and
+//!   parallel edges produced by the folding are merged with their
+//!   probabilities summed. A per-run equivariance/spec-invariance gate
+//!   rejects algorithm–group combinations the quotient is unsound for
+//!   ([`CoreError::QuotientUnsupported`]); options from
+//!   [`Plan::options`](super::Plan::options) carry the gate the plan
+//!   passed, so a planned run does not gate twice;
 //! * **on-the-fly reachable-only BFS** ([`ExploreOptions::reachable`]) —
 //!   breadth-first search from a designated initial set with hash-interned
 //!   configurations: only configurations reachable from the seeds get ids
@@ -91,7 +93,7 @@ use super::bitset::BitSet;
 use super::csr::Csr;
 use super::cursor::ConfigCursor;
 use super::edgestore::{EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStore, EdgeStoreKind};
-use super::equivariance;
+use super::equivariance::{self, GateStamp};
 use super::ids;
 use super::onthefly::{self, ExploreMode, ExploreOptions, Quotient, StateIds, TraversalMode};
 use super::parallel;
@@ -264,7 +266,14 @@ impl TransitionSystem {
             Quotient::Automorphism => Some(GroupCanonicalizer::automorphism(alg.graph(), ix)?),
         };
         if let Some(canon) = &canon {
-            equivariance::check_quotient_sound(alg, ix, daemon, spec, canon)?;
+            // Options from `Plan::options` carry the gate the plan already
+            // passed; it stands in only for the very run it names.
+            let gated = opts
+                .gate
+                .is_some_and(|stamp| stamp == GateStamp::of(alg, ix, daemon, spec, opts.quotient));
+            if !gated {
+                equivariance::check_quotient_sound(alg, ix, daemon, spec, canon)?;
+            }
         }
         match (&opts.mode, canon) {
             (ExploreMode::Full, None) => Self::explore_full(alg, ix, daemon, spec, opts, guard),

@@ -47,10 +47,12 @@
 //!   one id per orbit of the selected group (ring rotations, ring
 //!   dihedral, or the topology-derived automorphism group — leaf
 //!   permutations on stars and trees), canonicalized by
-//!   [`GroupCanonicalizer`] (Booth's O(N) least rotation on rings); folded
-//!   parallel edges merge with probabilities summed, so [`Edge::prob`]
-//!   stays the exact Definition 6 lumping. A per-run equivariance gate
-//!   rejects unsound algorithm–group combinations.
+//!   [`GroupCanonicalizer`] (on rings, the least of the N rotated
+//!   packed-digit words, O(N) word operations); folded parallel edges
+//!   merge with probabilities summed, so [`Edge::prob`] stays the exact
+//!   Definition 6 lumping. A per-run equivariance gate rejects unsound
+//!   algorithm–group combinations; options from [`Plan::options`] carry
+//!   the gate the plan already passed, so a planned run gates once.
 //!
 //! Throughput is tracked per PR by `cargo run --release --bin exp_explore`
 //! (crate `stab-bench`), which writes `BENCH_explore.json`; see ROADMAP.md
@@ -81,6 +83,6 @@ pub use edgestore::{
 pub use explore::{explore_count, node_mask, Edge, TransitionSystem};
 pub use onthefly::{ExploreMode, ExploreOptions, Quotient, TraversalMode};
 pub use plan::{Plan, PlanDecision, PlanRequest, DEFAULT_BYTE_BUDGET, DEFAULT_DISK_BYTE_BUDGET};
-pub use quotient::{least_rotation, CanonScratch, GroupCanonicalizer};
+pub use quotient::{CanonScratch, GroupCanonicalizer};
 pub use resilience::{Budget, CheckpointConfig, FaultPlan, RunGuard};
 pub use spill::{SpillConfig, SpillStore};

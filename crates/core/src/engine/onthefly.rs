@@ -30,6 +30,7 @@ use crate::CoreError;
 
 use super::bitset::BitSet;
 use super::edgestore::{EdgeStorageBuilder, EdgeStoreKind};
+use super::equivariance::GateStamp;
 use super::explore::{
     conflict_masks, run_fingerprint, Chunk, Edge, MergeState, TransitionSystem, COMPRESSED_BATCH,
 };
@@ -141,6 +142,10 @@ pub struct ExploreOptions<S> {
     /// (`<checkpoint-dir>/spill`) and an unanchored run uses a
     /// self-cleaning temp directory.
     pub spill: SpillConfig,
+    /// The equivariance gate these options already passed, when they come
+    /// from [`Plan::options`](super::Plan::options); the exploration skips
+    /// its own gate only when the stamp names the run it explores.
+    pub(crate) gate: Option<GateStamp>,
 }
 
 impl<S> ExploreOptions<S> {
@@ -153,6 +158,7 @@ impl<S> ExploreOptions<S> {
             edge_store: EdgeStoreKind::Flat,
             checkpoint: None,
             spill: SpillConfig::default(),
+            gate: None,
         }
     }
 
@@ -165,10 +171,12 @@ impl<S> ExploreOptions<S> {
             edge_store: EdgeStoreKind::Flat,
             checkpoint: None,
             spill: SpillConfig::default(),
+            gate: None,
         }
     }
 
-    /// Selects the symmetry group the traversal quotients by.
+    /// Selects the symmetry group the traversal quotients by (the
+    /// exploration then runs the equivariance gate itself).
     ///
     /// ```
     /// use stab_core::engine::{ExploreOptions, Quotient};
@@ -178,6 +186,7 @@ impl<S> ExploreOptions<S> {
     #[must_use]
     pub fn with_quotient(mut self, quotient: Quotient) -> Self {
         self.quotient = quotient;
+        self.gate = None;
         self
     }
 
@@ -361,11 +370,12 @@ fn merge_parallel_edges(row: &mut Vec<Edge>) {
 }
 
 /// Full sweep over a symmetry quotient: pass 1 collects the canonical
-/// representatives (in ascending index order, chunked across threads),
-/// pass 2 explores exactly those rows with successors canonicalized
-/// (memoized per row — under the distributed daemon many activations of
-/// one configuration reach the same successor, and one Booth run serves
-/// them all).
+/// representatives (in ascending index order, one sequential scan),
+/// pass 2 explores exactly those rows with successors canonicalized.
+/// Under the distributed daemon many activations of one configuration
+/// reach the same successor; the row arrives sorted by target, so each
+/// run of repeats is canonicalized once (a last-seen check, no memo
+/// table).
 pub(super) fn explore_quotient_sweep<A, L>(
     alg: &A,
     ix: &SpaceIndexer<A::State>,
@@ -415,22 +425,14 @@ where
             t
         }
         None => {
-            let rep_chunks = parallel::map_chunks(total, |range| -> Result<_, CoreError> {
-                let mut fulls = Vec::new();
-                let mut orbits = Vec::new();
-                let mut scratch = CanonScratch::default();
-                for full in range {
-                    if canon.is_canonical(full, &mut scratch) {
-                        fulls.push(full);
-                        orbits.push(canon.orbit(full, &mut scratch));
-                    }
-                }
-                Ok((fulls, orbits))
-            })?;
+            // Sequential: the scan costs ~60 ns per configuration on rings
+            // (2 ms at 2¹⁵), and forking workers for it made the
+            // allocator's peak RSS ratchet up across repeated studies.
             let mut table = StateTable::default();
-            for (fulls, orbits) in rep_chunks {
-                for (full, orbit) in fulls.into_iter().zip(orbits) {
-                    table.intern(full, || orbit);
+            let mut scratch = CanonScratch::default();
+            for full in 0..total {
+                if canon.is_canonical(full, &mut scratch) {
+                    table.intern(full, || canon.orbit(full, &mut scratch));
                 }
             }
             table
@@ -457,9 +459,6 @@ where
         let mut digits = Vec::new();
         let mut scratch = CanonScratch::default();
         let mut row: Vec<Edge> = Vec::new();
-        // Per-row memo: successors repeat across activations, and each
-        // repeat would otherwise pay a fresh canonicalization.
-        let mut memo: HashMap<u64, u32> = HashMap::new();
         for id in range {
             // lint: cast-ok(chunk ranges stay within the u32 representative count)
             let full = table_ref.full_of(id as u32);
@@ -471,16 +470,19 @@ where
             chunk.deterministic &= det;
             chunk.enabled.push(mask);
             row.clear();
-            memo.clear();
+            // Rows are sorted by raw target, so repeats are adjacent; no
+            // index reaches u64::MAX (totals stay below 2⁶³).
+            let (mut last_raw, mut last_to) = (u64::MAX, 0u32);
             for e in &gen.row {
-                let to = *memo.entry(e.to).or_insert_with(|| {
+                if e.to != last_raw {
                     let cto = canon_ref.canonical(e.to, &mut scratch);
-                    table_ref
+                    last_to = table_ref
                         .lookup(cto)
-                        .expect("canonical successors are representatives")
-                });
+                        .expect("canonical successors are representatives");
+                    last_raw = e.to;
+                }
                 row.push(Edge {
-                    to,
+                    to: last_to,
                     movers: e.movers,
                     prob: e.prob,
                 });
@@ -629,7 +631,6 @@ where
 
     // The intern table doubles as the BFS queue: ids are handed out in
     // discovery order and `next` chases the growing tail.
-    let mut memo: HashMap<u64, u32> = HashMap::new();
     while next < table.len() {
         guard.probe("explore", builder.bytes_estimate(), next as u64)?;
         let id = ids::id_u32(next, "interned state ids fit u32");
@@ -642,27 +643,24 @@ where
         deterministic &= det;
         enabled.push(mask);
         row.clear();
-        memo.clear();
+        // Rows are sorted by raw target, so repeated successors are
+        // adjacent and canonicalize (and intern) once; no index reaches
+        // u64::MAX (totals stay below 2⁶³).
+        let (mut last_raw, mut last_to) = (u64::MAX, 0u32);
         for e in &gen.row {
-            // Per-row memo: repeated successors canonicalize (and intern)
-            // once.
-            let to = match memo.get(&e.to) {
-                Some(&to) => to,
-                None => {
-                    let cto = canonical_of(e.to, &mut scratch);
-                    let to = match table.lookup(cto) {
-                        Some(to) => to,
-                        None => table.intern(cto, || match &canon {
-                            None => 1,
-                            Some(c) => c.orbit(cto, &mut scratch),
-                        }),
-                    };
-                    memo.insert(e.to, to);
-                    to
-                }
-            };
+            if e.to != last_raw {
+                let cto = canonical_of(e.to, &mut scratch);
+                last_to = match table.lookup(cto) {
+                    Some(to) => to,
+                    None => table.intern(cto, || match &canon {
+                        None => 1,
+                        Some(c) => c.orbit(cto, &mut scratch),
+                    }),
+                };
+                last_raw = e.to;
+            }
             row.push(Edge {
-                to,
+                to: last_to,
                 movers: e.movers,
                 prob: e.prob,
             });

@@ -85,7 +85,7 @@ use crate::spec::Legitimacy;
 use crate::CoreError;
 
 use super::edgestore::EdgeStoreKind;
-use super::equivariance;
+use super::equivariance::{self, GateStamp};
 use super::explore::conflict_masks;
 use super::onthefly::{ExploreOptions, Quotient};
 use super::quotient::GroupCanonicalizer;
@@ -255,6 +255,9 @@ pub struct Plan {
     pub edge_store: EdgeStoreKind,
     /// Every decision made, with rationale.
     pub decisions: Vec<PlanDecision>,
+    /// The equivariance gate the selected quotient passed (auto-selected
+    /// quotients only), handed on by [`Plan::options`].
+    gate: Option<GateStamp>,
 }
 
 impl Plan {
@@ -300,7 +303,7 @@ impl Plan {
         let est_analysis_compressed_bytes = 2 * est_compressed_store_bytes + est_reverse_bytes;
 
         let mut decisions = Vec::new();
-        let (quotient, group_order) = match req.quotient {
+        let (quotient, group_order, gate) = match req.quotient {
             Some(q) => {
                 let order = forced_group_order(alg, ix, q)?;
                 decisions.push(PlanDecision {
@@ -309,7 +312,7 @@ impl Plan {
                     auto: false,
                     reason: "forced by caller".to_string(),
                 });
-                (q, order)
+                (q, order, None)
             }
             None => auto_quotient(alg, ix, daemon, spec, &mut decisions)?,
         };
@@ -385,17 +388,22 @@ impl Plan {
             est_explored_configs,
             edge_store,
             decisions,
+            gate,
         })
     }
 
     /// The engine options this plan resolves to (always a full sweep —
     /// stabilization checks quantify over *every* initial configuration,
     /// which is what the planner plans for; reachable-mode runs remain an
-    /// explicit expert option).
+    /// explicit expert option). An auto-selected quotient's options carry
+    /// the equivariance gate the plan passed, so exploring them does not
+    /// gate again.
     pub fn options<S>(&self) -> ExploreOptions<S> {
-        ExploreOptions::full()
+        let mut opts = ExploreOptions::full()
             .with_quotient(self.quotient)
-            .with_edge_store(self.edge_store)
+            .with_edge_store(self.edge_store);
+        opts.gate = self.gate;
+        opts
     }
 
     /// Whether both the quotient and the edge-store tier were chosen by
@@ -452,15 +460,15 @@ where
 }
 
 /// Tries candidate groups best-first through the equivariance gate and
-/// returns the first sound one (or [`Quotient::None`] with every
-/// rejection recorded).
+/// returns the first sound one with its group order and gate stamp (or
+/// [`Quotient::None`] with every rejection recorded).
 fn auto_quotient<A, L>(
     alg: &A,
     ix: &SpaceIndexer<A::State>,
     daemon: DaemonSpec,
     spec: &L,
     decisions: &mut Vec<PlanDecision>,
-) -> Result<(Quotient, u64), CoreError>
+) -> Result<(Quotient, u64, Option<GateStamp>), CoreError>
 where
     A: Algorithm,
     L: Legitimacy<A::State>,
@@ -504,7 +512,8 @@ where
                         }
                     ),
                 });
-                return Ok((candidate, order));
+                let stamp = GateStamp::of(alg, ix, daemon, spec, candidate);
+                return Ok((candidate, order, Some(stamp)));
             }
             Err(CoreError::QuotientUnsupported { reason }) => {
                 rejections.push(format!("{}: {reason}", candidate.label()));
@@ -518,7 +527,7 @@ where
         auto: true,
         reason: format!("no sound symmetry group ({})", rejections.join("; ")),
     });
-    Ok((Quotient::None, 1))
+    Ok((Quotient::None, 1, None))
 }
 
 #[cfg(test)]
@@ -695,5 +704,210 @@ mod tests {
         assert!(q.reason.contains("no sound symmetry group"));
         assert!(q.reason.contains("automorphism"));
         assert!(q.reason.contains("ring-rotation"));
+    }
+
+    /// The equivariance gate runs once per planned study, and only there.
+    mod gate_once {
+        use super::*;
+        use crate::engine::equivariance::GATE_RUNS;
+        use crate::engine::ExploreOptions;
+        use crate::{ActionId, ActionMask, Legitimacy, Outcomes, View};
+        use stab_graph::{Graph, NodeId, RingOrientation};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Herman's ring, restated (the algorithm crates depend on this
+        /// one): a process holding a token (`x = x_pred`) flips a fair
+        /// coin, any other copies its predecessor.
+        struct Herman {
+            g: Graph,
+            orient: RingOrientation,
+        }
+
+        impl Herman {
+            fn ring(n: usize) -> Self {
+                let g = builders::ring(n);
+                let orient = RingOrientation::canonical(&g).unwrap();
+                Herman { g, orient }
+            }
+
+            fn preds(&self) -> Vec<NodeId> {
+                self.g
+                    .nodes()
+                    .map(|v| self.orient.predecessor(&self.g, v))
+                    .collect()
+            }
+
+            fn single_token(&self) -> impl Legitimacy<bool> {
+                let preds = self.preds();
+                Predicate::new("single-herman-token", move |c: &Configuration<bool>| {
+                    let tokens = preds
+                        .iter()
+                        .enumerate()
+                        .filter(|&(v, &p)| c.states()[v] == *c.get(p))
+                        .count();
+                    tokens == 1
+                })
+            }
+        }
+
+        impl Algorithm for Herman {
+            type State = bool;
+            fn graph(&self) -> &Graph {
+                &self.g
+            }
+            fn name(&self) -> String {
+                format!("herman(N={})", self.g.n())
+            }
+            fn state_space(&self, _v: NodeId) -> Vec<bool> {
+                vec![false, true]
+            }
+            fn enabled_actions<V: View<bool>>(&self, v: &V) -> ActionMask {
+                let pred = *v.neighbor(self.orient.pred_port(v.node()));
+                ActionMask::single(if *v.me() == pred {
+                    ActionId::A1
+                } else {
+                    ActionId::A2
+                })
+            }
+            fn apply<V: View<bool>>(&self, v: &V, a: ActionId) -> Outcomes<bool> {
+                match a {
+                    ActionId::A1 => Outcomes::fair_coin(true, false),
+                    _ => Outcomes::certain(*v.neighbor(self.orient.pred_port(v.node()))),
+                }
+            }
+            fn is_probabilistic(&self) -> bool {
+                true
+            }
+        }
+
+        /// Dijkstra's `K`-state token ring: the root (node 0) increments
+        /// when it equals its predecessor, every other process copies a
+        /// differing predecessor.
+        struct Dijkstra {
+            g: Graph,
+            orient: RingOrientation,
+            k: u8,
+        }
+
+        impl Dijkstra {
+            fn privileged(&self, me: u8, pred: u8, root: bool) -> bool {
+                (me == pred) == root
+            }
+        }
+
+        impl Algorithm for Dijkstra {
+            type State = u8;
+            fn graph(&self) -> &Graph {
+                &self.g
+            }
+            fn name(&self) -> String {
+                format!("dijkstra(N={})", self.g.n())
+            }
+            fn state_space(&self, _v: NodeId) -> Vec<u8> {
+                (0..self.k).collect()
+            }
+            fn enabled_actions<V: View<u8>>(&self, v: &V) -> ActionMask {
+                let pred = *v.neighbor(self.orient.pred_port(v.node()));
+                let root = v.node().index() == 0;
+                ActionMask::when(self.privileged(*v.me(), pred, root), ActionId::A1)
+            }
+            fn apply<V: View<u8>>(&self, v: &V, _a: ActionId) -> Outcomes<u8> {
+                let pred = *v.neighbor(self.orient.pred_port(v.node()));
+                if v.node().index() == 0 {
+                    Outcomes::certain((*v.me() + 1) % self.k)
+                } else {
+                    Outcomes::certain(pred)
+                }
+            }
+        }
+
+        fn runs() -> u64 {
+            GATE_RUNS.with(|r| r.get())
+        }
+
+        #[test]
+        fn a_planned_study_gates_once_and_everything_else_gates() {
+            let alg = Herman::ring(7);
+            let spec = alg.single_token();
+            let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+            let sync = Daemon::Synchronous;
+            let start = runs();
+            let plan = Plan::compute(&alg, &ix, sync, &spec, &PlanRequest::default()).unwrap();
+            assert_eq!(plan.quotient, Quotient::Automorphism);
+            assert_eq!(runs() - start, 1, "the plan gates the dihedral group");
+
+            // Exploring the plan's own options reuses the plan's gate.
+            let planned = plan.options::<bool>();
+            let ts = TransitionSystem::explore_with(&alg, &ix, sync, &spec, &planned).unwrap();
+            assert_eq!(ts.n_configs(), 18, "binary bracelets of length 7");
+            assert_eq!(runs() - start, 1, "planned explore does not re-gate");
+
+            // A plain quotient request gates, and so does re-forcing the
+            // quotient on the plan's options.
+            let plain = ExploreOptions::full().with_quotient(Quotient::Automorphism);
+            let again = TransitionSystem::explore_with(&alg, &ix, sync, &spec, &plain).unwrap();
+            assert_eq!(again.n_configs(), ts.n_configs());
+            assert_eq!(runs() - start, 2, "with_quotient explore gates");
+            let forced = plan.options::<bool>().with_quotient(plan.quotient);
+            TransitionSystem::explore_with(&alg, &ix, sync, &spec, &forced).unwrap();
+            assert_eq!(runs() - start, 3, "a forced quotient gates");
+
+            // The stamp names Herman's run: Dijkstra's rooted ring under
+            // the same options gates again and is still rejected.
+            let dijkstra = Dijkstra {
+                g: builders::ring(5),
+                orient: RingOrientation::canonical(&builders::ring(5)).unwrap(),
+                k: 5,
+            };
+            let dix = SpaceIndexer::new(&dijkstra, 1 << 20).unwrap();
+            let one_privilege = Predicate::new("one-privilege", |c: &Configuration<u8>| {
+                let s = c.states();
+                let n = s.len();
+                (0..n)
+                    .filter(|&v| dijkstra.privileged(s[v], s[(v + n - 1) % n], v == 0))
+                    .count()
+                    == 1
+            });
+            let err = TransitionSystem::explore_with(
+                &dijkstra,
+                &dix,
+                Daemon::Central,
+                &one_privilege,
+                &plan.options::<u8>(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CoreError::QuotientUnsupported { .. }),
+                "{err}"
+            );
+            assert_eq!(runs() - start, 4, "a foreign run re-gates");
+        }
+
+        #[test]
+        fn a_resumed_quotient_system_interns_identically() {
+            static SEQ: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "stab-plan-gate-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let alg = Herman::ring(7);
+            let spec = alg.single_token();
+            let ix = SpaceIndexer::new(&alg, 1 << 20).unwrap();
+            let sync = Daemon::Synchronous;
+            let plan = Plan::compute(&alg, &ix, sync, &spec, &PlanRequest::default()).unwrap();
+            let opts = plan.options::<bool>().with_checkpoint(&dir, 4);
+            let ts = TransitionSystem::explore_with(&alg, &ix, sync, &spec, &opts).unwrap();
+            let resumed = TransitionSystem::resume(&dir).unwrap();
+            assert_eq!(resumed.n_configs(), ts.n_configs());
+            for full in 0..ix.total() {
+                assert_eq!(
+                    resumed.id_of_full_index(full),
+                    ts.id_of_full_index(full),
+                    "at {full}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

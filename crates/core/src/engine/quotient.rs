@@ -15,75 +15,29 @@
 //! **lexicographically least**. Four group strategies are supported, each
 //! with a canonicalization specialised to its structure:
 //!
-//! | group                          | canonicalization            | cost   |
-//! |--------------------------------|-----------------------------|--------|
-//! | ring rotations `C_N`           | Booth's least rotation      | O(N)   |
-//! | ring dihedral `D_N`            | Booth, both directions      | O(N)   |
-//! | leaf permutations `∏ Sym(cᵢ)`  | sort digits within classes  | O(N log N) |
-//! | explicit permutation set       | least image over the group  | O(N·\|G\|) |
+//! | group                          | canonicalization                  | cost   |
+//! |--------------------------------|-----------------------------------|--------|
+//! | ring rotations `C_N`           | least rotation of a packed word   | O(N)   |
+//! | ring dihedral `D_N`            | same, over the reversed word too  | O(N)   |
+//! | leaf permutations `∏ Sym(cᵢ)`  | sort digits within classes        | O(N log N) |
+//! | explicit permutation set       | least image over the group        | O(N·\|G\|) |
 //!
 //! Canonicalization works directly on mixed-radix indices (no
 //! configuration allocation), so it is cheap enough to run per successor
-//! edge during exploration. [`least_rotation`] (Booth's algorithm) is
-//! exported so the property-test battery can pin it against the naive
-//! N-rotation sweep.
+//! edge during exploration. The ring strategies pack the digits in cycle
+//! order into one `u64` (or, past 64 bits, `u128`) word, position 0 most
+//! significant, so lexicographic order is integer order and a rotation is
+//! one shift/or/mask; the same sweep yields the period and chirality
+//! that size the orbit.
 
 use std::collections::HashSet;
+use std::ops::{BitAnd, BitOr, Shl, Shr};
 
 use stab_graph::trees::leaf_classes;
 use stab_graph::{builders, Graph, NodeId, RingRotations};
 
 use crate::space::SpaceIndexer;
 use crate::{CoreError, LocalState};
-
-/// Booth's algorithm: the index `k` (in `0..seq.len()`) such that the
-/// rotation `seq[(j + k) mod n]` is lexicographically least among all `n`
-/// rotations, in O(N) time and O(N) scratch.
-///
-/// ```
-/// use stab_core::engine::quotient::least_rotation;
-/// let k = least_rotation(&[2, 1, 0, 1]);
-/// assert_eq!(k, 2); // ⟨0, 1, 2, 1⟩ is the least rotation
-/// assert_eq!(least_rotation(&[0, 0, 0]), 0);
-/// ```
-pub fn least_rotation(seq: &[u32]) -> usize {
-    let mut seq2 = seq.to_vec();
-    seq2.extend_from_slice(seq);
-    least_rotation_doubled(&seq2, &mut Vec::new())
-}
-
-/// Booth over a pre-doubled sequence (`seq2 = seq ++ seq`, length `2N`)
-/// with caller-provided scratch for the failure function — the engine's
-/// hot path: allocation-free once grown, and no modulo per access.
-fn least_rotation_doubled(seq2: &[u32], f: &mut Vec<i64>) -> usize {
-    let nn = seq2.len();
-    let n = nn / 2;
-    if n <= 1 {
-        return 0;
-    }
-    f.clear();
-    f.resize(nn, -1);
-    let mut k: usize = 0;
-    for j in 1..nn {
-        let sj = seq2[j];
-        let mut i = f[j - k - 1];
-        while i != -1 && sj != seq2[k + i as usize + 1] {
-            if sj < seq2[k + i as usize + 1] {
-                k = j - i as usize - 1;
-            }
-            i = f[i as usize];
-        }
-        if i == -1 && sj != seq2[k] {
-            if sj < seq2[k] {
-                k = j;
-            }
-            f[j - k] = -1;
-        } else {
-            f[j - k] = i + 1;
-        }
-    }
-    k % n
-}
 
 /// Reusable scratch for [`GroupCanonicalizer`] calls: nothing is allocated
 /// per call once the buffers have grown to the working size.
@@ -97,8 +51,144 @@ pub struct CanonScratch {
     best: Vec<u32>,
     /// Orbit enumeration area (explicit strategy).
     orbit_ids: Vec<u64>,
-    /// Booth failure-function area.
-    booth: Vec<i64>,
+}
+
+/// An unsigned machine word holding a ring configuration's digits packed
+/// most-significant-first (see [`RingWords`]).
+trait Word:
+    Copy
+    + Ord
+    + From<u64>
+    + BitOr<Output = Self>
+    + BitAnd<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    const MAX: Self;
+    const BITS: u32;
+    /// The low 64 bits.
+    fn low_u64(self) -> u64;
+}
+
+macro_rules! impl_word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const MAX: Self = <$t>::MAX;
+            const BITS: u32 = <$t>::BITS;
+            fn low_u64(self) -> u64 {
+                // lint: cast-ok(deliberate truncation to the low word; callers mask one digit)
+                self as u64
+            }
+        }
+    )*};
+}
+impl_word!(u64, u128);
+
+/// The packed-word layout of the ring strategies: position `j`'s digit
+/// takes `bits` bits at offset `bits·(N−1−j)` of the forward word, so
+/// lexicographic order of digit sequences is integer order of words; the
+/// reversed word mirrors the offsets. Empty for the non-ring strategies.
+#[derive(Debug, Clone, Default)]
+struct RingWords {
+    /// Bits per digit: `⌈log₂ radix⌉`, at least 1.
+    bits: u32,
+    /// Packed width `bits·N` (at most 128, as `radixᴺ < 2⁶⁴`).
+    width: u32,
+    /// The ring's uniform alphabet size.
+    radix: u64,
+    /// Forward-word offset of mixed-radix digit `i` (node order).
+    fwd: Vec<u32>,
+}
+
+impl RingWords {
+    /// The layout for a ring whose position `j` has weight
+    /// `pos_weights[j]` and every node has `radix` states.
+    fn new(pos_weights: &[u64], radix: u64) -> Self {
+        let n = pos_weights.len();
+        let bits = (u64::BITS - radix.saturating_sub(1).leading_zeros()).max(1);
+        // Positions in weight order: entry `i` holds mixed-radix digit `i`.
+        let mut by_weight: Vec<usize> = (0..n).collect();
+        by_weight.sort_by_key(|&j| pos_weights[j]);
+        // lint: cast-ok(ring sizes stay far below u32; offsets stay below 128)
+        let offset = |slot: usize| bits * slot as u32;
+        RingWords {
+            bits,
+            width: offset(n),
+            radix,
+            fwd: by_weight.iter().map(|&j| offset(n - 1 - j)).collect(),
+        }
+    }
+
+    /// The forward and reversed words of `full`: shift/mask digits for a
+    /// power-of-two radix, one running quotient otherwise.
+    #[inline]
+    fn words<W: Word>(&self, full: u64) -> (W, W) {
+        let pow2 = self.radix.is_power_of_two();
+        let (mut fwd, mut rev, mut rest) = (W::from(0), W::from(0), full);
+        for &at in &self.fwd {
+            let (digit, next) = if pow2 {
+                (rest & (self.radix - 1), rest >> self.bits)
+            } else {
+                (rest % self.radix, rest / self.radix)
+            };
+            rest = next;
+            fwd = fwd | W::from(digit) << at;
+            rev = rev | W::from(digit) << (self.width - self.bits - at);
+        }
+        (fwd, rev)
+    }
+
+    /// The mixed-radix index of forward word `word`.
+    #[inline]
+    fn index_of<W: Word>(&self, word: W) -> u64 {
+        let mask = u64::MAX >> (u64::BITS - self.bits);
+        self.fwd.iter().rev().fold(0, |idx, &at| {
+            idx * self.radix + ((word >> at).low_u64() & mask)
+        })
+    }
+
+    /// Sweeps the rotations of `full` — and with `dihedral` the rotations
+    /// of its reversal — in the narrowest word that holds the ring.
+    /// Returns the index of the least image, the rotation period, and
+    /// whether some rotation of the reversal equals `full` (achiral).
+    fn sweep(&self, full: u64, dihedral: bool) -> (u64, u64, bool) {
+        if self.width <= u64::BITS {
+            self.sweep_in::<u64>(full, dihedral)
+        } else {
+            self.sweep_in::<u128>(full, dihedral)
+        }
+    }
+
+    #[inline]
+    fn sweep_in<W: Word>(&self, full: u64, dihedral: bool) -> (u64, u64, bool) {
+        let mask = W::MAX >> (W::BITS - self.width);
+        // One position left: digit 0 wraps to the end.
+        let rotate = |w: W| ((w << self.bits) | (w >> (self.width - self.bits))) & mask;
+        let (word, mut rev) = self.words::<W>(full);
+        let (mut least, mut rot) = (word, word);
+        let (mut period, mut achiral) = (0u64, false);
+        // Rotations repeat with the period, and a reversal has the same
+        // period as the word, so one period covers every distinct image.
+        loop {
+            if dihedral {
+                achiral |= rev == word;
+                least = least.min(rev);
+                rev = rotate(rev);
+            }
+            rot = rotate(rot);
+            period += 1;
+            if rot == word {
+                break;
+            }
+            least = least.min(rot);
+        }
+        let canonical = if least == word {
+            full
+        } else {
+            self.index_of(least)
+        };
+        (canonical, period, achiral)
+    }
 }
 
 /// The group structure a [`GroupCanonicalizer`] exploits.
@@ -146,6 +236,8 @@ pub struct GroupCanonicalizer {
     /// Node-space generator permutations (`perm[v]` = image node of `v`),
     /// consumed by the per-run equivariance gate.
     generators: Vec<Vec<u32>>,
+    /// Ring strategies' packed-word layout (derived, not checkpointed).
+    words: RingWords,
 }
 
 /// Validates that `a` and `b` have identical state alphabets.
@@ -167,8 +259,7 @@ fn require_equal_alphabets<S: LocalState>(
 }
 
 impl GroupCanonicalizer {
-    /// The cyclic rotation group `C_N` of a uniform ring (the PR 2
-    /// quotient, now Booth-accelerated).
+    /// The cyclic rotation group `C_N` of a uniform ring.
     ///
     /// # Errors
     ///
@@ -214,19 +305,19 @@ impl GroupCanonicalizer {
         if dihedral {
             generators.push(node_perm(&rot.reflection()));
         }
-        Ok(GroupCanonicalizer {
-            pos_weights: order.iter().map(|&v| ix.weight(v)).collect(),
-            pos_radix: vec![radix; n],
-            node_weights: (0..n).map(|v| ix.weight(NodeId::new(v))).collect(),
-            node_radix: (0..n).map(|v| ix.radix(NodeId::new(v)) as u64).collect(),
-            strategy: if dihedral {
+        Ok(Self::from_snapshot_parts(
+            order.iter().map(|&v| ix.weight(v)).collect(),
+            vec![radix; n],
+            (0..n).map(|v| ix.weight(NodeId::new(v))).collect(),
+            vec![radix; n],
+            if dihedral {
                 Strategy::Dihedral
             } else {
                 Strategy::Cycle
             },
-            group_order: if dihedral { 2 * n as u64 } else { n as u64 },
+            if dihedral { 2 * n as u64 } else { n as u64 },
             generators,
-        })
+        ))
     }
 
     /// The leaf-permutation group `∏_c Sym(c)` over the
@@ -267,21 +358,16 @@ impl GroupCanonicalizer {
                     reason: "leaf-permutation group order overflows u64".into(),
                 })?;
         }
-        let n = g.n();
-        Ok(GroupCanonicalizer {
-            pos_weights: (0..n).map(|v| ix.weight(NodeId::new(v))).collect(),
-            pos_radix: (0..n).map(|v| ix.radix(NodeId::new(v)) as u64).collect(),
-            node_weights: (0..n).map(|v| ix.weight(NodeId::new(v))).collect(),
-            node_radix: (0..n).map(|v| ix.radix(NodeId::new(v)) as u64).collect(),
-            strategy: Strategy::LeafClasses(
-                classes
-                    .iter()
-                    .map(|c| c.iter().map(|v| v.index()).collect())
-                    .collect(),
-            ),
+        let classes = classes
+            .iter()
+            .map(|c| c.iter().map(|v| v.index()).collect())
+            .collect();
+        Ok(Self::node_indexed(
+            ix,
+            Strategy::LeafClasses(classes),
             group_order,
             generators,
-        })
+        ))
     }
 
     /// The topology-derived full-automorphism quotient: the dihedral group
@@ -400,15 +486,13 @@ impl GroupCanonicalizer {
             generators.push(node_perm(perm));
         }
         let group = close_under_composition(n, &generators)?;
-        Ok(GroupCanonicalizer {
-            pos_weights: (0..n).map(|v| ix.weight(NodeId::new(v))).collect(),
-            pos_radix: (0..n).map(|v| ix.radix(NodeId::new(v)) as u64).collect(),
-            node_weights: (0..n).map(|v| ix.weight(NodeId::new(v))).collect(),
-            node_radix: (0..n).map(|v| ix.radix(NodeId::new(v)) as u64).collect(),
-            group_order: group.len() as u64,
-            strategy: Strategy::Explicit(group),
+        let group_order = group.len() as u64;
+        Ok(Self::node_indexed(
+            ix,
+            Strategy::Explicit(group),
+            group_order,
             generators,
-        })
+        ))
     }
 
     /// Closure cap for [`GroupCanonicalizer::from_permutations`].
@@ -453,8 +537,25 @@ impl GroupCanonicalizer {
         )
     }
 
-    /// Reassembles a canonicalizer from checkpointed parts (inverse of
-    /// [`GroupCanonicalizer::snapshot_parts`]).
+    /// A canonicalizer whose positions are the node indices.
+    fn node_indexed<S: LocalState>(
+        ix: &SpaceIndexer<S>,
+        strategy: Strategy,
+        order: u64,
+        gens: Vec<Vec<u32>>,
+    ) -> Self {
+        let weights: Vec<u64> = (0..ix.n()).map(|v| ix.weight(NodeId::new(v))).collect();
+        let radix: Vec<u64> = (0..ix.n())
+            .map(|v| ix.radix(NodeId::new(v)) as u64)
+            .collect();
+        let (w, r) = (weights.clone(), radix.clone());
+        Self::from_snapshot_parts(weights, radix, w, r, strategy, order, gens)
+    }
+
+    /// Assembles a canonicalizer from its parts — the constructors' common
+    /// tail and the inverse of [`GroupCanonicalizer::snapshot_parts`]. The
+    /// ring strategies' packed-word layout is rebuilt here, so a resumed
+    /// quotient system canonicalizes exactly like the original.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn from_snapshot_parts(
         pos_weights: Vec<u64>,
@@ -465,6 +566,12 @@ impl GroupCanonicalizer {
         group_order: u64,
         generators: Vec<Vec<u32>>,
     ) -> Self {
+        let words = match strategy {
+            Strategy::Cycle | Strategy::Dihedral => {
+                RingWords::new(&pos_weights, pos_radix.first().copied().unwrap_or(1))
+            }
+            Strategy::LeafClasses(_) | Strategy::Explicit(_) => RingWords::default(),
+        };
         GroupCanonicalizer {
             pos_weights,
             pos_radix,
@@ -473,6 +580,7 @@ impl GroupCanonicalizer {
             strategy,
             group_order,
             generators,
+            words,
         }
     }
 
@@ -501,14 +609,6 @@ impl GroupCanonicalizer {
         );
     }
 
-    /// Writes the digits of `full` in position order into `buf`,
-    /// **doubled** (`d ++ d`, length `2N`) so rotation reads and Booth
-    /// need no modulo — the ring strategies' hot-path layout.
-    fn ring_digits_doubled(&self, full: u64, buf: &mut Vec<u32>) {
-        self.position_digits(full, buf);
-        buf.extend_from_within(..);
-    }
-
     /// The index encoded by position digits `d`.
     fn index_of_digits(&self, d: &[u32]) -> u64 {
         d.iter()
@@ -521,39 +621,8 @@ impl GroupCanonicalizer {
     /// `scratch` is caller-provided (no allocation per call once grown).
     pub fn canonical(&self, full: u64, scratch: &mut CanonScratch) -> u64 {
         match &self.strategy {
-            Strategy::Cycle => {
-                self.ring_digits_doubled(full, &mut scratch.digits);
-                let k = least_rotation_doubled(&scratch.digits, &mut scratch.booth);
-                if k == 0 {
-                    return full;
-                }
-                let d = &scratch.digits;
-                let n = d.len() / 2;
-                (0..n).map(|j| d[j + k] as u64 * self.pos_weights[j]).sum()
-            }
-            Strategy::Dihedral => {
-                self.ring_digits_doubled(full, &mut scratch.digits);
-                let n = scratch.digits.len() / 2;
-                scratch.alt.clear();
-                scratch.alt.extend(scratch.digits[..n].iter().rev());
-                scratch.alt.extend_from_within(..);
-                let kd = least_rotation_doubled(&scratch.digits, &mut scratch.booth);
-                let ke = least_rotation_doubled(&scratch.alt, &mut scratch.booth);
-                let (d, e) = (&scratch.digits, &scratch.alt);
-                // Lazily compare the two candidate canonical sequences.
-                let mut reversed = false;
-                for j in 0..n {
-                    let (a, b) = (d[j + kd], e[j + ke]);
-                    if a != b {
-                        reversed = b < a;
-                        break;
-                    }
-                }
-                let (seq, k) = if reversed { (e, ke) } else { (d, kd) };
-                (0..n)
-                    .map(|j| seq[j + k] as u64 * self.pos_weights[j])
-                    .sum()
-            }
+            Strategy::Cycle => self.words.sweep(full, false).0,
+            Strategy::Dihedral => self.words.sweep(full, true).0,
             Strategy::LeafClasses(classes) => {
                 self.position_digits(full, &mut scratch.digits);
                 for class in classes {
@@ -601,41 +670,9 @@ impl GroupCanonicalizer {
         SCRATCH.with(|s| self.canonical(full, &mut s.borrow_mut()))
     }
 
-    /// Whether `full` is its own canonical representative. For the ring
-    /// strategies this short-circuits: an index that is not even its own
-    /// least *rotation* (the common case in the representative sweep)
-    /// never reaches the reversal Booth pass.
+    /// Whether `full` is its own canonical representative.
     pub fn is_canonical(&self, full: u64, scratch: &mut CanonScratch) -> bool {
-        match &self.strategy {
-            Strategy::Cycle | Strategy::Dihedral => {
-                self.ring_digits_doubled(full, &mut scratch.digits);
-                let kd = least_rotation_doubled(&scratch.digits, &mut scratch.booth);
-                let d = &scratch.digits;
-                let n = d.len() / 2;
-                // Canonical under rotations iff the least rotation equals
-                // the sequence itself (kd may be a nonzero period offset).
-                if (0..n).any(|j| d[j + kd] != d[j]) {
-                    return false;
-                }
-                if matches!(self.strategy, Strategy::Cycle) {
-                    return true;
-                }
-                // Dihedral: additionally no reflection may be smaller.
-                scratch.alt.clear();
-                scratch.alt.extend(scratch.digits[..n].iter().rev());
-                scratch.alt.extend_from_within(..);
-                let ke = least_rotation_doubled(&scratch.alt, &mut scratch.booth);
-                let (d, e) = (&scratch.digits, &scratch.alt);
-                for j in 0..n {
-                    let (a, b) = (d[j], e[j + ke]);
-                    if a != b {
-                        return a < b;
-                    }
-                }
-                true
-            }
-            _ => self.canonical(full, scratch) == full,
-        }
+        self.canonical(full, scratch) == full
     }
 
     /// The orbit size of `full`: the number of *distinct* configurations
@@ -643,28 +680,11 @@ impl GroupCanonicalizer {
     /// [`GroupCanonicalizer::group_order`].
     pub fn orbit(&self, full: u64, scratch: &mut CanonScratch) -> u64 {
         match &self.strategy {
-            Strategy::Cycle => {
-                self.position_digits(full, &mut scratch.digits);
-                period(&scratch.digits) as u64
-            }
+            Strategy::Cycle => self.words.sweep(full, false).1,
             Strategy::Dihedral => {
-                self.ring_digits_doubled(full, &mut scratch.digits);
-                let n = scratch.digits.len() / 2;
-                let p = period(&scratch.digits[..n]) as u64;
-                scratch.alt.clear();
-                scratch.alt.extend(scratch.digits[..n].iter().rev());
-                scratch.alt.extend_from_within(..);
-                let kd = least_rotation_doubled(&scratch.digits, &mut scratch.booth);
-                let ke = least_rotation_doubled(&scratch.alt, &mut scratch.booth);
-                let (d, e) = (&scratch.digits, &scratch.alt);
-                // Achiral (some rotation of the reversal equals the
-                // sequence): the reflections contribute no new members.
-                let achiral = (0..n).all(|j| d[j + kd] == e[j + ke]);
-                if achiral {
-                    p
-                } else {
-                    2 * p
-                }
+                // Achiral: the reflections contribute no new members.
+                let (_, period, achiral) = self.words.sweep(full, true);
+                period * if achiral { 1 } else { 2 }
             }
             Strategy::LeafClasses(classes) => {
                 self.position_digits(full, &mut scratch.digits);
@@ -677,19 +697,11 @@ impl GroupCanonicalizer {
                     scratch.best.sort_unstable();
                     // Multinomial |class|! / ∏ multiplicity! — the number
                     // of distinct arrangements of the class digits.
-                    let mut numer: u128 = 1;
-                    for k in 1..=class.len() as u128 {
-                        numer *= k;
-                    }
-                    let mut run = 1u128;
-                    let mut denom: u128 = 1;
+                    let numer: u128 = (1..=class.len() as u128).product();
+                    let (mut run, mut denom) = (1u128, 1u128);
                     for w in scratch.best.windows(2) {
-                        if w[0] == w[1] {
-                            run += 1;
-                            denom *= run;
-                        } else {
-                            run = 1;
-                        }
+                        run = if w[0] == w[1] { run + 1 } else { 1 };
+                        denom *= run;
                     }
                     orbit *= numer / denom;
                 }
@@ -713,20 +725,6 @@ impl GroupCanonicalizer {
             }
         }
     }
-}
-
-/// The smallest period of `d` (always divides `d.len()`).
-fn period(d: &[u32]) -> usize {
-    let n = d.len();
-    for p in 1..=n {
-        if !n.is_multiple_of(p) {
-            continue;
-        }
-        if (0..n).all(|j| d[(j + p) % n] == d[j]) {
-            return p;
-        }
-    }
-    unreachable!("p = n always fixes the sequence")
 }
 
 /// Node-space permutation as `u32` images.
@@ -824,26 +822,53 @@ mod tests {
         (ix, canon)
     }
 
+    /// Brute force: the least rotation (and, with `dihedral`, rotated
+    /// reversal) of a digit sequence.
+    fn naive_least(states: &[u8], dihedral: bool) -> Vec<u8> {
+        let n = states.len();
+        let mut images = Vec::new();
+        for k in 0..n {
+            let rot: Vec<u8> = (0..n).map(|j| states[(j + k) % n]).collect();
+            if dihedral {
+                images.push(rot.iter().rev().copied().collect::<Vec<u8>>());
+            }
+            images.push(rot);
+        }
+        images.into_iter().min().unwrap()
+    }
+
     #[test]
-    fn booth_matches_naive_least_rotation() {
-        // Deterministic small sweep; the property suite covers random
-        // alphabets and lengths.
-        for seq in [
-            vec![0u32],
-            vec![1, 0],
-            vec![2, 1, 0, 1],
-            vec![1, 1, 1, 1],
-            vec![0, 1, 0, 1, 1],
-            vec![3, 0, 3, 0, 2, 1],
-        ] {
-            let n = seq.len();
-            let k = least_rotation(&seq);
-            let booth: Vec<u32> = (0..n).map(|j| seq[(j + k) % n]).collect();
-            let naive = (0..n)
-                .map(|r| (0..n).map(|j| seq[(j + r) % n]).collect::<Vec<u32>>())
-                .min()
-                .unwrap();
-            assert_eq!(booth, naive, "sequence {seq:?}");
+    fn packed_words_switch_to_u128_past_64_bits() {
+        // Radix 3 packs 2 bits per digit: N=32 fills a u64 exactly, N=33
+        // needs the u128 path. Both must agree with brute force.
+        for n in [32usize, 33, 39] {
+            let alg = States {
+                g: builders::ring(n),
+                radix: 3,
+            };
+            let ix = SpaceIndexer::new(&alg, u64::MAX).unwrap();
+            let g = alg.g;
+            let mut scratch = CanonScratch::default();
+            for dihedral in [false, true] {
+                let canon = GroupCanonicalizer::ring(&g, &ix, dihedral).unwrap();
+                assert_eq!(canon.words.width as usize, 2 * n);
+                for seed in 1..40u64 {
+                    let full = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % ix.total();
+                    let states: Vec<u8> = ix.decode(full).states().to_vec();
+                    let least = naive_least(&states, dihedral);
+                    let c = canon.canonical(full, &mut scratch);
+                    assert_eq!(ix.decode(c).states(), &least[..], "N={n} at {full}");
+                    assert!(canon.is_canonical(c, &mut scratch));
+                }
+                // ⟨0,1,2⟩ repeated has period 3 and is chiral, so the
+                // reflections double its orbit.
+                if n % 3 == 0 {
+                    let cfg: Vec<u8> = (0..n).map(|j| [0, 1, 2][j % 3]).collect();
+                    let full = ix.encode(&crate::Configuration::from_vec(cfg));
+                    let expect = if dihedral { 6 } else { 3 };
+                    assert_eq!(canon.orbit(full, &mut scratch), expect, "N={n}");
+                }
+            }
         }
     }
 
@@ -878,14 +903,7 @@ mod tests {
             let c = canon.canonical(full, &mut scratch);
             assert_eq!(canon.canonical(c, &mut scratch), c, "idempotent at {full}");
             let states: Vec<u8> = ix.decode(full).states().to_vec();
-            let n = states.len();
-            let mut images = Vec::new();
-            for k in 0..n {
-                let rot: Vec<u8> = (0..n).map(|j| states[(j + k) % n]).collect();
-                images.push(rot.iter().rev().copied().collect::<Vec<u8>>());
-                images.push(rot);
-            }
-            let min_seq = images.into_iter().min().unwrap();
+            let min_seq = naive_least(&states, true);
             let min_full = ix.encode(&crate::Configuration::from_vec(min_seq));
             assert_eq!(c, min_full, "dihedral orbit minimum of {full}");
         }

@@ -1,13 +1,14 @@
 //! Property-test battery pinning the symmetry-group quotient engine
 //! (`stab_core::engine::quotient`): orbit invariance, idempotence,
-//! least-in-orbit minimality, Booth-vs-naive least rotation, and orbit
-//! tiling, across all four canonicalization strategies on randomly drawn
-//! spaces.
+//! least-in-orbit minimality, packed-word ring canonicalization against
+//! the explicit-permutation strategy (on both sides of the 64-bit word),
+//! and orbit tiling, across all four canonicalization strategies on
+//! randomly drawn spaces.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use stab_core::engine::{least_rotation, CanonScratch, GroupCanonicalizer};
+use stab_core::engine::{CanonScratch, GroupCanonicalizer};
 use stab_core::{ActionId, ActionMask, Algorithm, Configuration, Outcomes, SpaceIndexer, View};
 use stab_graph::{builders, Graph, NodeId, RingRotations};
 
@@ -37,7 +38,55 @@ impl Algorithm for States {
 }
 
 fn indexer(g: Graph, radix: u8) -> SpaceIndexer<u8> {
-    SpaceIndexer::new(&States { g, radix }, 1 << 40).unwrap()
+    SpaceIndexer::new(&States { g, radix }, u64::MAX).unwrap()
+}
+
+/// A ring size for `radix` whose packed width (`⌈log₂ radix⌉` bits per
+/// digit) lands below 64 bits, or — when `wide` and the radix allows it —
+/// above: radix 3 at N=33–39 packs 66–78 bits and radix 5 at N=22–27
+/// packs 66–81 bits, which takes the `u128` path. Powers of two never
+/// exceed 63 bits in an indexable space, so their wide sizes are the
+/// largest u64 rings instead.
+fn ring_sizes(radix: u8, wide: bool) -> std::ops::RangeInclusive<usize> {
+    match (radix, wide) {
+        (2, false) => 3..=20,
+        (2, true) => 40..=62,
+        (3, false) => 3..=31,
+        (3, true) => 33..=39,
+        (4, false) => 3..=16,
+        (4, true) => 24..=31,
+        (5, false) => 3..=21,
+        (5, true) => 22..=27,
+        _ => unreachable!("radix drawn from 2..=5"),
+    }
+}
+
+/// A random ring configuration: `(radix, digits)` with `digits.len()`
+/// drawn by [`ring_sizes`].
+fn ring_config() -> impl Strategy<Value = (u8, Vec<u8>)> {
+    (2u8..=5, any::<bool>()).prop_flat_map(|(radix, wide)| {
+        ring_sizes(radix, wide).prop_flat_map(move |n| (Just(radix), vec(0u8..radix, n..=n)))
+    })
+}
+
+/// `digits` plus structured variants the random draw almost never hits:
+/// for every proper divisor `p` of `N`, the first `p` digits repeated
+/// (period `p`) and a mirrored repetition (achiral).
+fn with_structured_variants(digits: &[u8]) -> Vec<Vec<u8>> {
+    let n = digits.len();
+    let mut out = vec![digits.to_vec()];
+    for p in (1..n).filter(|&p| n.is_multiple_of(p)) {
+        out.push((0..n).map(|j| digits[j % p]).collect());
+        out.push(
+            (0..n)
+                .map(|j| {
+                    let k = j % p;
+                    digits[k.min(p - 1 - k)]
+                })
+                .collect(),
+        );
+    }
+    out
 }
 
 /// Applies a random word over the group generators to `full` — a random
@@ -88,19 +137,56 @@ fn canonicalizers(n: usize, radix: u8) -> Vec<(String, SpaceIndexer<u8>, GroupCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Booth's O(N) least rotation picks exactly the sequence the naive
-    /// N-rotation sweep picks, on random alphabets and lengths.
+    /// The packed-word ring strategies (`u64` and `u128` words) agree with
+    /// the explicit-permutation strategy over the same generators on
+    /// `canonical`, `is_canonical` and `orbit`, for random radixes 2–5 and
+    /// ring sizes on both sides of the 64-bit word, including periodic and
+    /// achiral configurations.
     #[test]
-    fn booth_equals_naive_sweep(seq in (1usize..24).prop_flat_map(|n| vec(0u32..5, n..=n))) {
-        let n = seq.len();
-        let k = least_rotation(&seq);
-        prop_assert!(k < n, "rotation index in range");
-        let booth: Vec<u32> = (0..n).map(|j| seq[(j + k) % n]).collect();
-        let naive = (0..n)
-            .map(|r| (0..n).map(|j| seq[(j + r) % n]).collect::<Vec<u32>>())
-            .min()
-            .unwrap();
-        prop_assert_eq!(booth, naive, "sequence {:?}", seq);
+    fn ring_words_equal_explicit_permutations((radix, digits) in ring_config()) {
+        let n = digits.len();
+        let g = builders::ring(n);
+        let ix = indexer(g.clone(), radix);
+        let rot = RingRotations::of(&g).unwrap();
+        let pairs = [
+            (
+                "rotation",
+                GroupCanonicalizer::ring_rotation(&g, &ix).unwrap(),
+                GroupCanonicalizer::from_permutations(&ix, &[rot.permutation(1)]).unwrap(),
+            ),
+            (
+                "dihedral",
+                GroupCanonicalizer::ring_dihedral(&g, &ix).unwrap(),
+                GroupCanonicalizer::from_permutations(
+                    &ix,
+                    &[rot.permutation(1), rot.reflection()],
+                )
+                .unwrap(),
+            ),
+        ];
+        let (mut s1, mut s2) = (CanonScratch::default(), CanonScratch::default());
+        for cfg in with_structured_variants(&digits) {
+            let full = ix.encode(&Configuration::from_vec(cfg));
+            for (label, words, explicit) in &pairs {
+                let c = words.canonical(full, &mut s1);
+                prop_assert_eq!(
+                    c,
+                    explicit.canonical(full, &mut s2),
+                    "{} canonical, radix {} N={} at {}", label, radix, n, full
+                );
+                prop_assert_eq!(
+                    words.is_canonical(full, &mut s1),
+                    explicit.is_canonical(full, &mut s2),
+                    "{} is_canonical, radix {} N={} at {}", label, radix, n, full
+                );
+                prop_assert!(words.is_canonical(c, &mut s1));
+                prop_assert_eq!(
+                    words.orbit(full, &mut s1),
+                    explicit.orbit(full, &mut s2),
+                    "{} orbit, radix {} N={} at {}", label, radix, n, full
+                );
+            }
+        }
     }
 
     /// `canon(g·x) = canon(x)` for random group elements `g` (random words
@@ -195,12 +281,12 @@ fn generator_closure(canon: &GroupCanonicalizer, full: u64) -> Vec<u64> {
 }
 
 /// The dihedral canonical form on *cycle order* digits coincides with the
-/// explicit enumeration of all 2N images — a directed check that the lazy
-/// Booth-of-both-directions comparison picks the true minimum (the
-/// property suite above reaches it via the explicit strategy; this pins
-/// the pair on a larger deterministic sweep).
+/// explicit enumeration of all 2N images — a directed check that the
+/// packed-word sweep over rotations and rotated reversals picks the true
+/// minimum on every configuration of a full space (the property above
+/// samples larger rings).
 #[test]
-fn dihedral_booth_matches_explicit_on_a_full_space() {
+fn dihedral_words_match_explicit_on_a_full_space() {
     let g = builders::ring(7);
     let ix = indexer(g.clone(), 2);
     let dih = GroupCanonicalizer::ring_dihedral(&g, &ix).unwrap();
