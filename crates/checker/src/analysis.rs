@@ -1,13 +1,20 @@
 //! The stabilization analyses: closure, weak/possible convergence, certain
 //! convergence under each fairness assumption, and probabilistic
 //! convergence — Definitions 1–3 of the paper, decided exhaustively.
+//!
+//! The four certain-convergence verdicts share one component analysis:
+//! one Tarjan walk over the reachable illegitimate configurations plus
+//! one id-ordered summary pass (`scc::Components`). The unfair, weakly fair
+//! and Gouda verdicts are lookups in that list; the strongly fair check
+//! decomposes again only inside the components that fail it at the top
+//! level.
 
 use std::fmt;
 
 use stab_core::engine::{BitSet, Budget};
 use stab_core::{Algorithm, CoreError, DaemonSpec, Fairness, Legitimacy, LocalState};
 
-use crate::scc;
+use crate::scc::{self, Components};
 use crate::space::ExploredSpace;
 use crate::verdict::{Verdict, Witness};
 
@@ -77,9 +84,9 @@ pub fn analyze_space<S: LocalState>(
 }
 
 /// [`analyze_space`] under a cooperative [`Budget`]: the reachability
-/// closures and every Tarjan walk probe the `verdicts` stage, so an
-/// exhausted wall-clock or state budget yields a typed
-/// [`CoreError::BudgetExhausted`] instead of an unbounded analysis.
+/// closures, the Tarjan walks and the component summary pass probe the
+/// `verdicts` stage, so an exhausted wall-clock or state budget yields a
+/// typed [`CoreError::BudgetExhausted`] instead of an unbounded analysis.
 ///
 /// # Errors
 ///
@@ -107,10 +114,8 @@ pub fn analyze_space_budgeted<S: LocalState>(
     // so its recurrent behaviour lives entirely outside L.
     let alive = reachable.and_not(space.transition_system().legit());
 
-    let self_unfair = fairness_verdict(space, &alive, &deadlock, FairKind::Unfair, budget)?;
-    let self_weakly_fair = fairness_verdict(space, &alive, &deadlock, FairKind::Weak, budget)?;
-    let self_strongly_fair = fairness_verdict(space, &alive, &deadlock, FairKind::Strong, budget)?;
-    let self_gouda = fairness_verdict(space, &alive, &deadlock, FairKind::Gouda, budget)?;
+    let [self_unfair, self_weakly_fair, self_strongly_fair, self_gouda] =
+        fairness_verdicts(space, &alive, deadlock, budget)?;
 
     // Probabilistic convergence via the independent a.s.-reachability
     // criterion: from every reachable configuration, L is reachable.
@@ -187,90 +192,59 @@ fn find_deadlock<S: LocalState>(space: &ExploredSpace<S>, reachable: &BitSet) ->
         .find(|&id| reachable.get(id as usize) && !space.is_legit(id) && space.is_terminal(id))
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FairKind {
-    Unfair,
-    Weak,
-    Strong,
-    Gouda,
-}
-
-/// Certain convergence under a fairness assumption: fails on a reachable
-/// deadlock outside `L` or a reachable fairness-compatible cycle outside
-/// `L`.
-fn fairness_verdict<S: LocalState>(
+/// Certain convergence under the unfair, weakly fair, strongly fair and
+/// Gouda assumptions, in that order. Each fails on a reachable deadlock
+/// outside `L` or on a reachable fairness-compatible cycle outside `L`;
+/// the cycles are looked up in one decomposition of `alive`, and each
+/// distinct lasso witness is built once.
+fn fairness_verdicts<S: LocalState>(
     space: &ExploredSpace<S>,
     alive: &BitSet,
-    deadlock: &Option<u32>,
-    kind: FairKind,
+    deadlock: Option<u32>,
     budget: &Budget,
-) -> Result<Verdict, CoreError> {
-    if let Some(id) = *deadlock {
-        return Ok(Verdict::fail(Witness::DeadlockOutsideLegitimate {
+) -> Result<[Verdict; 4], CoreError> {
+    if let Some(id) = deadlock {
+        let v = Verdict::fail(Witness::DeadlockOutsideLegitimate {
             config: space.render(id),
-        }));
+        });
+        return Ok([v.clone(), v.clone(), v.clone(), v]);
     }
-    let comp = match kind {
-        FairKind::Unfair => find_any_cycle_component(space, alive, budget)?,
-        FairKind::Weak => find_weakly_fair_component(space, alive, budget)?,
-        FairKind::Strong => find_strongly_fair_component(space, alive, budget)?,
-        FairKind::Gouda => find_closed_component(space, alive, budget)?,
-    };
-    Ok(match comp {
-        None => Verdict::pass(),
-        Some(comp) => {
-            let in_comp = scc::membership(space.total(), comp.as_slice());
-            let stem = space
-                .path(|id| space.is_initial(id), |id| in_comp.get(id as usize))
-                .unwrap_or_default();
-            let cycle = scc::some_cycle(space, &comp, alive);
-            Verdict::fail(Witness::Lasso {
-                stem: stem.into_iter().map(|id| space.render(id)).collect(),
-                cycle: cycle.into_iter().map(|id| space.render(id)).collect(),
-            })
-        }
+    let comps = Components::decompose_budgeted(space, alive, budget)?;
+    // Unfair: any component with an internal edge.
+    let unfair = comps.find(|f| f.internal);
+    // Generalized Büchi for weak fairness: a component supports a
+    // weakly-fair infinite execution iff every process is either disabled
+    // at some configuration of it or activated on some internal edge (the
+    // cycle can then be stitched to visit all these witnesses).
+    let weak = comps.find(|f| f.internal && f.enabled_and & !f.moved == 0);
+    let strong = find_strongly_fair_component(space, &comps, budget)?;
+    // Gouda fairness needs a *closed* recurrent set: a bottom SCC.
+    let gouda = comps.find(|f| f.internal && f.closed);
+
+    let found = [unfair, weak, strong.as_deref(), gouda];
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(found.len());
+    for (k, comp) in found.iter().enumerate() {
+        verdicts.push(match (found[..k].iter().position(|f| f == comp), comp) {
+            (Some(earlier), _) => verdicts[earlier].clone(),
+            (None, None) => Verdict::pass(),
+            (None, Some(comp)) => lasso(space, comp),
+        });
+    }
+    Ok(verdicts.try_into().expect("one verdict per fairness kind"))
+}
+
+/// The lasso witness of a fair cycle in `comp`: a shortest stem from the
+/// initial set into the component, then some cycle inside it.
+fn lasso<S: LocalState>(space: &ExploredSpace<S>, comp: &[u32]) -> Verdict {
+    let in_comp = scc::membership(space.total(), comp);
+    let stem = space
+        .path(|id| space.is_initial(id), |id| in_comp.get(id as usize))
+        .unwrap_or_default();
+    let cycle = scc::some_cycle(space, comp[0], &in_comp);
+    Verdict::fail(Witness::Lasso {
+        stem: stem.into_iter().map(|id| space.render(id)).collect(),
+        cycle: cycle.into_iter().map(|id| space.render(id)).collect(),
     })
-}
-
-/// Any SCC with an internal edge: an (unfair) infinite execution.
-fn find_any_cycle_component<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    Ok(scc::sccs_budgeted(space, alive, budget)?
-        .into_iter()
-        .find(|comp| scc::has_internal_edge(space, comp, alive)))
-}
-
-/// Generalized-Büchi check for weak fairness: a component supports a
-/// weakly-fair infinite execution iff every process is either disabled at
-/// some configuration of the component or activated on some internal edge
-/// (the cycle can then be stitched to visit all these witnesses).
-fn find_weakly_fair_component<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    Ok(scc::sccs_budgeted(space, alive, budget)?
-        .into_iter()
-        .find(|comp| {
-            if !scc::has_internal_edge(space, comp, alive) {
-                return false;
-            }
-            let in_comp = scc::membership(space.total(), comp);
-            let mut always_enabled = u64::MAX;
-            let mut moved = 0u64;
-            for &v in comp {
-                always_enabled &= space.enabled_mask(v);
-                for e in space.edge_iter(v) {
-                    if in_comp.get(e.to as usize) {
-                        moved |= e.movers;
-                    }
-                }
-            }
-            always_enabled & !moved == 0
-        }))
 }
 
 /// Streett-style recursive refinement for strong fairness: a component is
@@ -279,67 +253,31 @@ fn find_weakly_fair_component<S: LocalState>(
 /// violating process is enabled and recurse into the sub-components.
 fn find_strongly_fair_component<S: LocalState>(
     space: &ExploredSpace<S>,
-    alive: &BitSet,
+    comps: &Components,
     budget: &Budget,
 ) -> Result<Option<Vec<u32>>, CoreError> {
-    for comp in scc::sccs_budgeted(space, alive, budget)? {
-        if !scc::has_internal_edge(space, &comp, alive) {
+    for (members, facts) in comps.iter() {
+        if !facts.internal {
             continue;
         }
-        let in_comp = scc::membership(space.total(), &comp);
-        let mut enabled_union = 0u64;
-        let mut moved = 0u64;
-        for &v in &comp {
-            enabled_union |= space.enabled_mask(v);
-            for e in space.edge_iter(v) {
-                if in_comp.get(e.to as usize) {
-                    moved |= e.movers;
-                }
-            }
-        }
-        let bad = enabled_union & !moved;
+        let bad = facts.enabled_or & !facts.moved;
         if bad == 0 {
-            return Ok(Some(comp));
+            return Ok(Some(members.to_vec()));
         }
         // An execution confined to this component that starves a `bad`
         // process must avoid the configurations where it is enabled.
         let mut refined = BitSet::new(space.total() as usize);
-        let mut shrunk = false;
-        for &v in &comp {
+        for &v in members {
             if space.enabled_mask(v) & bad == 0 {
                 refined.insert(v as usize);
-            } else {
-                shrunk = true;
             }
         }
-        debug_assert!(
-            shrunk,
-            "a bad process is enabled somewhere in the component"
-        );
-        if let Some(found) = find_strongly_fair_component(space, &refined, budget)? {
+        let sub = Components::decompose_budgeted(space, &refined, budget)?;
+        if let Some(found) = find_strongly_fair_component(space, &sub, budget)? {
             return Ok(Some(found));
         }
     }
     Ok(None)
-}
-
-/// Gouda fairness: a non-converging Gouda-fair execution requires a
-/// *closed* recurrent set — a bottom SCC (no edge leaves it at all).
-fn find_closed_component<S: LocalState>(
-    space: &ExploredSpace<S>,
-    alive: &BitSet,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, CoreError> {
-    Ok(scc::sccs_budgeted(space, alive, budget)?
-        .into_iter()
-        .find(|comp| {
-            if !scc::has_internal_edge(space, comp, alive) {
-                return false;
-            }
-            let in_comp = scc::membership(space.total(), comp);
-            comp.iter()
-                .all(|&v| space.edge_iter(v).all(|e| in_comp.get(e.to as usize)))
-        }))
 }
 
 /// The full verdict sheet of one `(algorithm, daemon, specification)`
@@ -619,6 +557,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain.table_row(), budgeted.table_row());
+    }
+
+    /// The four fairness verdicts share one decomposition; the strongly
+    /// fair check decomposes again only inside the components that fail
+    /// it at the top level.
+    #[test]
+    fn one_tarjan_walk_per_analysis() {
+        use crate::scc::TARJAN_RUNS;
+        fn walks<S: LocalState>(space: &ExploredSpace<S>) -> u64 {
+            TARJAN_RUNS.with(|c| c.set(0));
+            analyze_space(space, String::new(), String::new());
+            TARJAN_RUNS.with(|c| c.get())
+        }
+        let alg = TwoProcessToggle::new();
+        let space =
+            ExploredSpace::explore(&alg, Daemon::Distributed, &alg.legitimacy(), CAP).unwrap();
+        assert_eq!(walks(&space), 1, "toggle: no refinement");
+        let alg = DijkstraRing::on_ring(&builders::ring(4)).unwrap();
+        let space = ExploredSpace::explore(&alg, Daemon::Central, &alg.legitimacy(), CAP).unwrap();
+        assert_eq!(walks(&space), 1, "dijkstra: acyclic illegitimate region");
+        // The gadget's one recurrent component starves P1 at the top level;
+        // its refinement is the one extra walk.
+        let alg = stab_algorithms::FairnessGadget::new();
+        let space = ExploredSpace::explore(&alg, Daemon::Central, &alg.legitimacy(), CAP).unwrap();
+        assert_eq!(walks(&space), 2, "gadget: one strong-fair refinement");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fmt;
 use stab_core::{Algorithm, ConfigView, Configuration, LocalState, Outcomes, View};
 use stab_graph::NodeId;
 
-use crate::scc;
+use crate::scc::Components;
 use crate::space::ExploredSpace;
 
 /// Census of the illegitimate region's SCC structure.
@@ -39,38 +39,26 @@ pub struct SccSummary {
 pub fn scc_summary<S: LocalState>(space: &ExploredSpace<S>) -> SccSummary {
     let reachable = space.reachable_from_initial();
     let alive = reachable.and_not(space.transition_system().legit());
-    let illegitimate_reachable = alive.count_ones();
-    let comps = scc::sccs(space, &alive);
-    let mut recurrent = 0u64;
-    let mut largest = 0u64;
-    let mut closed = 0u64;
-    for comp in &comps {
-        if !scc::has_internal_edge(space, comp, &alive) {
-            continue;
-        }
-        recurrent += 1;
-        largest = largest.max(comp.len() as u64);
-        let in_comp = scc::membership(space.total(), comp);
-        let is_closed = comp
-            .iter()
-            .all(|&v| space.edge_iter(v).all(|e| in_comp.get(e.to as usize)));
-        if is_closed {
-            closed += 1;
+    let mut summary = SccSummary {
+        illegitimate_reachable: alive.count_ones(),
+        components: 0,
+        recurrent_components: 0,
+        largest_recurrent: 0,
+        closed_components: 0,
+        deadlocks: 0,
+    };
+    for (members, facts) in Components::decompose(space, &alive).iter() {
+        summary.components += 1;
+        // Only a terminal singleton has no enabled process.
+        summary.deadlocks += u64::from(facts.enabled_or == 0);
+        if facts.internal {
+            summary.recurrent_components += 1;
+            let size = members.len() as u64;
+            summary.largest_recurrent = summary.largest_recurrent.max(size);
+            summary.closed_components += u64::from(facts.closed);
         }
     }
-    let deadlocks = alive
-        .ones()
-        // lint: cast-ok(bitset bits are bounded by the u32 config count)
-        .filter(|&id| space.is_terminal(id as u32))
-        .count() as u64;
-    SccSummary {
-        illegitimate_reachable,
-        components: comps.len() as u64,
-        recurrent_components: recurrent,
-        largest_recurrent: largest,
-        closed_components: closed,
-        deadlocks,
-    }
+    summary
 }
 
 // ---------------------------------------------------------------------

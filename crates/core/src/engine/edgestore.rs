@@ -622,6 +622,11 @@ impl DiskEdges {
         self.store.dir()
     }
 
+    /// `(hits, misses)` of the chunk cache so far.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        self.store.cache_stats()
+    }
+
     /// Re-validates every chunk file's frame (magic, length, CRC32C)
     /// against the recorded metadata.
     ///
@@ -813,6 +818,15 @@ impl EdgeStorage {
         match self {
             EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => 0,
             EdgeStorage::Disk(d) => d.spilled_bytes(),
+        }
+    }
+
+    /// `(hits, misses)` of the disk tier's chunk cache; `None` on the
+    /// in-RAM tiers.
+    pub fn spill_cache_stats(&self) -> Option<(u64, u64)> {
+        match self {
+            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => None,
+            EdgeStorage::Disk(d) => Some(d.cache_stats()),
         }
     }
 

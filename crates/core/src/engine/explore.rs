@@ -637,6 +637,12 @@ impl TransitionSystem {
         self.forward.spilled_bytes()
     }
 
+    /// `(hits, misses)` of the disk tier's chunk cache so far; `None` on
+    /// the in-RAM tiers, which have no cache.
+    pub fn spill_cache_stats(&self) -> Option<(u64, u64)> {
+        self.forward.spill_cache_stats()
+    }
+
     /// High-water mark of [`TransitionSystem::resident_edge_bytes`]:
     /// the figure the out-of-core acceptance gate compares against the
     /// plan's byte budget.
@@ -728,9 +734,13 @@ impl TransitionSystem {
         h.finish()
     }
 
-    /// The forward-reachable closure of `seeds`.
+    /// The forward-reachable closure of `seeds` (a full seed set is its
+    /// own closure and is returned without reading an edge).
     pub fn forward_closure(&self, seeds: &BitSet) -> BitSet {
         let mut seen = seeds.clone();
+        if seen.is_full() {
+            return seen;
+        }
         let mut stack: Vec<u32> = seeds
             .ones()
             .map(|i| ids::id_u32(i, "seed ids fit the u32 id width"))

@@ -96,7 +96,9 @@ fn chunk_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("chunk-{seq:06}.bin"))
 }
 
-/// Reads and validates one chunk frame, returning its payload.
+/// Reads and validates one chunk frame, returning the whole frame: the
+/// payload starts at [`FRAME_HEADER_LEN`] (the header stays in the
+/// buffer rather than shifting megabytes of payload to drop it).
 fn read_chunk(dir: &Path, meta: &ChunkMeta) -> Result<Vec<u8>, CoreError> {
     let path = chunk_path(dir, meta.seq);
     let corrupt = |detail: String| CoreError::CheckpointCorrupt {
@@ -137,9 +139,7 @@ fn read_chunk(dir: &Path, meta: &ChunkMeta) -> Result<Vec<u8>, CoreError> {
             "CRC32C mismatch: stored {crc:#010x}, computed {actual:#010x}"
         )));
     }
-    let mut payload_vec = bytes;
-    payload_vec.drain(..FRAME_HEADER_LEN);
-    Ok(payload_vec)
+    Ok(bytes)
 }
 
 /// Write side of the spill: owns the chunk directory while a disk-tier
@@ -249,7 +249,10 @@ impl SpillSink {
             let bytes = read_chunk(&self.dir, c)
                 .unwrap_or_else(|e| panic!("spill chunk read-back failed: {e}"));
             let take_end = end.min(chunk_end(c));
-            out.extend_from_slice(&bytes[(pos - c.start) as usize..(take_end - c.start) as usize]);
+            let payload = &bytes[FRAME_HEADER_LEN..];
+            out.extend_from_slice(
+                &payload[(pos - c.start) as usize..(take_end - c.start) as usize],
+            );
             pos = take_end;
         }
         if end > pending_base {
@@ -368,7 +371,9 @@ impl SpillStore {
     }
 
     /// Loads (through the cache) the chunk containing global byte `pos`,
-    /// returning the pinned payload and the chunk's global start offset.
+    /// returning the pinned frame (its payload starts after the
+    /// `FRAME_HEADER_LEN`-byte header) and the chunk's global start
+    /// offset.
     ///
     /// # Panics
     ///
@@ -410,7 +415,7 @@ impl SpillStore {
         while cache.bytes + meta.len > self.cache_bytes && !cache.lru.is_empty() {
             let victim = cache.lru.remove(0);
             if let Some(b) = cache.resident.remove(&victim) {
-                cache.bytes -= b.len() as u64;
+                cache.bytes -= self.chunks[victim].len;
                 cache.evicted.insert(victim, Arc::downgrade(&b));
             }
         }
@@ -438,13 +443,13 @@ impl SpillStore {
         let (bytes, chunk_start) = self.load_containing(start);
         debug_assert!(
             // lint: arith-ok(debug-only bound over a chunk table verified contiguous at load)
-            end <= chunk_start + bytes.len() as u64,
+            end <= chunk_start + (bytes.len() - FRAME_HEADER_LEN) as u64,
             "row {row} spans a chunk boundary"
         );
         SpillCursor {
             bytes,
-            pos: (start - chunk_start) as usize,
-            end: (end - chunk_start) as usize,
+            pos: FRAME_HEADER_LEN + (start - chunk_start) as usize,
+            end: FRAME_HEADER_LEN + (end - chunk_start) as usize,
             prev: row as i64,
         }
     }
