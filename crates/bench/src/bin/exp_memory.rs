@@ -16,7 +16,7 @@
 use stab_algorithms::{HermanRing, TokenCirculation};
 use stab_bench::Table;
 use stab_checker::ExploredSpace;
-use stab_core::engine::{EdgeStore, EdgeStoreKind, ExploreOptions};
+use stab_core::engine::{EdgeStoreKind, ExploreOptions};
 use stab_core::{Algorithm, Configuration, Daemon, Legitimacy, LocalState};
 use stab_graph::builders;
 use stab_graph::ring::smallest_non_divisor;

@@ -11,7 +11,7 @@ use stab_algorithms::{
 };
 use stab_checker::analysis::{analyze_space, StabilizationReport};
 use stab_checker::ExploredSpace;
-use stab_core::engine::{EdgeStore, EdgeStoreKind, ExploreOptions};
+use stab_core::engine::{EdgeStoreKind, ExploreOptions};
 use stab_core::{Algorithm, Daemon, Legitimacy, LocalState};
 use stab_graph::builders;
 

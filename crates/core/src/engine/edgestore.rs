@@ -1,11 +1,20 @@
-//! Three-tier edge storage for transition systems: the flat [`Csr<Edge>`]
-//! tier (24 bytes per edge, slice access), a byte-packed compressed
-//! tier ([`CompressedEdges`]) for 10⁸+-edge systems, and a disk-spilling
-//! tier ([`DiskEdges`]) whose compressed byte stream lives in CRC-framed
-//! chunk files behind a pinned-budget cache, for 10⁹+-edge systems whose
-//! compressed stream itself exceeds RAM.
+//! One three-tier row store for both graphs the paper's checks read: the
+//! transition system's edges ([`EdgeStorage`], walked by the weak, self
+//! and fairness verdicts) and the absorbing chain's transient matrix `Q`
+//! (`stab_markov::QStorage`, solved for the probabilistic-stabilization
+//! times). [`RowStorage<T>`] is generic over the row item `T`
+//! ([`RowItem`]: an [`Edge`], or a `(column, probability)` entry of `Q`),
+//! and the item only decides what one entry encodes. The tiers are
 //!
-//! # Why a second tier
+//! * **flat** — a [`Csr<T>`]: u32 offsets, slice access, 24 bytes per
+//!   edge and 16 per `Q` entry;
+//! * **compressed** — [`CompressedRows<T>`], a byte-packed stream for
+//!   10⁸+-entry systems;
+//! * **disk** — [`DiskRows<T>`], the same stream spilled to CRC-framed
+//!   chunk files behind a pinned-budget cache, for 10⁹+-entry systems
+//!   whose compressed stream itself exceeds RAM.
+//!
+//! # Why compress
 //!
 //! Reachable-only exploration and symmetry quotients cap the largest
 //! checkable instance by *edge memory*, not time: every [`Edge`] costs
@@ -13,34 +22,38 @@
 //! (≈ 1.3·10⁸ edges for the full sweep) sits at the RAM ceiling. The
 //! compressed tier stores, per row,
 //!
-//! * the successor ids as **zig-zag varint deltas** — against the row's
-//!   own id for the first edge (delta encoding keeps successors close to
-//!   their source), then against the previous successor (rows are sorted
-//!   by `(to, movers)`, so the gaps are small);
-//! * the activation bitmask as a plain varint (low process bits
-//!   dominate);
-//! * the Definition 6 probability as a varint **index into a deduplicated
-//!   probability table** — distinct probabilities per run are few (powers
-//!   of ½ for Herman, `1/#activations` families elsewhere), so the
-//!   side-channel `Vec<f64>` stays tiny.
+//! * the targets (successor ids, or `Q` columns) as **zig-zag varint
+//!   deltas** — against the row's own id for the first item (delta
+//!   encoding keeps successors close to their source), then against the
+//!   previous target (rows are sorted by target, so the gaps are small);
+//! * for an edge, the activation bitmask as a plain varint (low process
+//!   bits dominate);
+//! * the probability as a varint **index into a deduplicated probability
+//!   table** — distinct probabilities per run are few (powers of ½ for
+//!   Herman, `1/#activations` families elsewhere), so the side-channel
+//!   `Vec<f64>` stays tiny.
 //!
 //! Measured bytes per edge land at 3–6 for the zoo (see
 //! `BENCH_explore.json`, schema v4+), a 4–8× reduction over the flat tier.
 //!
-//! Row boundaries are **u64 byte offsets**, and edge counts are tracked
+//! Row boundaries are **u64 byte offsets**, and item counts are tracked
 //! in u64 throughout, so systems past 2³² edges are representable rather
 //! than silently wrapped (the flat tier's u32 offsets *panic* past that
 //! point — see [`Csr::from_counts`]).
 //!
-//! Both tiers implement the [`EdgeStore`] trait; [`EdgeStorage`] is the
-//! runtime-selected store held by
-//! [`TransitionSystem`](super::TransitionSystem), chosen per run with
-//! [`ExploreOptions::with_edge_store`](super::ExploreOptions::with_edge_store).
-//! Decoding is allocation-free: [`EdgeIter`] is a cursor over the byte
-//! stream (or a slice iterator on the flat tier), which is what Tarjan,
-//! the reachability closures and the `Q`-row reads actually need.
+//! Every tier implements the [`RowStore`] row-access trait. [`RowStorage`]
+//! is the runtime-selected store, assembled row by row by
+//! [`RowStorageBuilder`]; the exploration picks the tier with
+//! [`ExploreOptions::with_edge_store`](super::ExploreOptions::with_edge_store)
+//! and the chain's `Q` inherits it. Decoding is allocation-free:
+//! [`RowIter`] is a cursor over the byte stream (or a slice iterator on
+//! the flat tier), which is what Tarjan, the reachability closures and
+//! the `Q`-row reads need. Loops that sweep every row many times (the
+//! solvers) match the tier once and run monomorphically over its
+//! concrete [`RowStore::Row`] cursor.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 use super::csr::Csr;
 use super::explore::Edge;
@@ -49,8 +62,8 @@ use super::resilience::Budget;
 use super::spill::{SpillConfig, SpillCursor, SpillSink, SpillStore};
 use crate::error::CoreError;
 
-/// Variable-byte (LEB128) and zig-zag primitives shared by the compressed
-/// edge stream and `stab-markov`'s compressed `Q` store.
+/// Variable-byte (LEB128) and zig-zag primitives of the compressed row
+/// stream.
 pub mod vbyte {
     /// Maps a signed delta onto the unsigned varint domain
     /// (0, −1, 1, −2, … ↦ 0, 1, 2, 3, …).
@@ -104,9 +117,9 @@ pub mod vbyte {
 /// Shared low-level writer for delta-compressed row streams: u64 byte
 /// offsets, zig-zag varint target deltas (base = the row's own index
 /// before its first item, then the previous target), and a dedup-interned
-/// probability table. [`CompressedEdgesBuilder`] and `stab-markov`'s
-/// compressed `Q` builder wrap it with their per-item payloads, so the
-/// subtle parts of the encoding live exactly once.
+/// probability table. [`RowStorageBuilder`] drives it through each
+/// item's [`RowItem::encode`], so the subtle parts of the encoding live
+/// exactly once.
 #[derive(Debug)]
 pub struct DeltaStreamWriter {
     offsets: Vec<u64>,
@@ -254,10 +267,25 @@ impl DeltaStreamWriter {
     }
 }
 
+/// The decoding surface of one encoded row, mirroring
+/// [`DeltaStreamWriter`]: [`RowItem::decode`] reads an item's target
+/// first, then its payload. Implemented by the compressed tier's
+/// [`DeltaStreamReader`] and the disk tier's [`DiskReader`].
+pub trait ItemReader {
+    /// Whether the row's span is exhausted.
+    fn done(&self) -> bool;
+    /// Decodes the next item's target (call first per item).
+    fn target(&mut self) -> u32;
+    /// Decodes a raw payload varint.
+    fn raw(&mut self) -> u64;
+    /// Decodes a probability-table id and resolves it.
+    fn prob(&mut self) -> f64;
+}
+
 /// The decoding counterpart of [`DeltaStreamWriter`]: a zero-alloc
-/// cursor over one row's span of a delta-compressed stream, holding the
-/// rebase / zig-zag-accumulation / prob-table invariants exactly once
-/// for both the edge tier and `stab-markov`'s `Q` tier.
+/// cursor over one row's span of an in-RAM delta-compressed stream,
+/// holding the rebase / zig-zag-accumulation / prob-table invariants
+/// exactly once.
 #[derive(Debug, Clone)]
 pub struct DeltaStreamReader<'a> {
     stream: &'a [u8],
@@ -281,118 +309,122 @@ impl<'a> DeltaStreamReader<'a> {
             probs,
         }
     }
+}
 
-    /// Whether the row's span is exhausted.
+impl ItemReader for DeltaStreamReader<'_> {
     #[inline]
-    pub fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.pos >= self.end
     }
 
-    /// Decodes the next item's target (call first per item, mirroring
-    /// [`DeltaStreamWriter::target`]).
     #[inline]
-    pub fn target(&mut self) -> u32 {
+    fn target(&mut self) -> u32 {
         self.prev += vbyte::unzigzag(vbyte::read(self.stream, &mut self.pos));
         ids::delta_target(self.prev, "corrupt compressed delta stream")
     }
 
-    /// Decodes a raw payload varint.
     #[inline]
-    pub fn raw(&mut self) -> u64 {
+    fn raw(&mut self) -> u64 {
         vbyte::read(self.stream, &mut self.pos)
     }
 
-    /// Decodes a probability-table id and resolves it.
     #[inline]
-    pub fn prob(&mut self) -> f64 {
+    fn prob(&mut self) -> f64 {
         self.probs[vbyte::read(self.stream, &mut self.pos) as usize]
     }
 }
 
-/// Counting-sort inversion shared by the compressed tiers (the flat
-/// tiers use [`Csr::invert`]): builds the u32-offset reverse CSR from a
-/// per-row target cursor, decoding each row twice.
-///
-/// # Panics
-///
-/// Panics if `n_entries` exceeds `u32::MAX` — the reverse CSR is
-/// u32-offset (checked, never silently wrapped).
-pub fn invert_target_rows<I>(
-    n_rows: usize,
-    n_entries: u64,
-    row_targets: impl Fn(usize) -> I,
-) -> Csr<u32>
-where
-    I: Iterator<Item = u32>,
-{
-    invert_target_rows_budgeted(n_rows, n_entries, row_targets, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
+/// The disk tier's [`ItemReader`]: a [`SpillCursor`] pinning the row's
+/// cached chunk (so the cache may rotate underneath it) plus the
+/// resident probability table.
+#[derive(Debug, Clone)]
+pub struct DiskReader<'a> {
+    cur: SpillCursor,
+    probs: &'a [f64],
 }
 
-/// Rows decoded between two budget probes of the inversion passes.
-const INVERT_PROBE_STRIDE: usize = 1 << 16;
+impl ItemReader for DiskReader<'_> {
+    #[inline]
+    fn done(&self) -> bool {
+        self.cur.done()
+    }
 
-/// [`invert_target_rows`] under a cooperative [`Budget`]: the full
-/// reverse-CSR allocation (4 B/entry data + 4 B/row counts + cursor) is
-/// probed on the `reverse` stage up front, and both decoding passes
-/// re-probe every [`INVERT_PROBE_STRIDE`] rows — the chunk-blocked
-/// external inversion runs row-sequentially, so on the disk tier chunks
-/// rotate through the cache exactly once per pass.
-///
-/// # Errors
-///
-/// [`CoreError::BudgetExhausted`] when a probe trips; the partial CSR is
-/// discarded.
-pub fn invert_target_rows_budgeted<I>(
-    n_rows: usize,
-    n_entries: u64,
-    row_targets: impl Fn(usize) -> I,
-    budget: &Budget,
-) -> Result<Csr<u32>, CoreError>
-where
-    I: Iterator<Item = u32>,
-{
-    assert!(
-        n_entries <= u32::MAX as u64,
-        "reverse CSR is u32-offset; {n_entries} entries exceed it"
-    );
-    let full_bytes = n_entries * 4 + (n_rows as u64) * 8;
-    budget.probe("reverse", full_bytes, n_rows as u64)?;
-    let mut counts = vec![0u32; n_rows];
-    for i in 0..n_rows {
-        if i % INVERT_PROBE_STRIDE == 0 && i > 0 {
-            budget.probe("reverse", (n_rows as u64) * 4, i as u64)?;
-        }
-        for t in row_targets(i) {
-            counts[t as usize] += 1;
-        }
+    #[inline]
+    fn target(&mut self) -> u32 {
+        self.cur.target()
     }
-    // Exclusive prefix sum = the write cursor per target row
-    // (`Csr::from_counts` re-derives the offsets from `counts`).
-    let mut cursor = Vec::with_capacity(n_rows);
-    let mut acc = 0u32;
-    for &c in &counts {
-        cursor.push(acc);
-        acc += c;
+
+    #[inline]
+    fn raw(&mut self) -> u64 {
+        self.cur.raw()
     }
-    let mut data = vec![0u32; n_entries as usize];
-    for i in 0..n_rows {
-        if i % INVERT_PROBE_STRIDE == 0 && i > 0 {
-            budget.probe("reverse", full_bytes, i as u64)?;
-        }
-        for t in row_targets(i) {
-            // lint: cast-ok(row index is bounded by the u32 id width)
-            data[cursor[t as usize] as usize] = i as u32;
-            cursor[t as usize] += 1;
-        }
+
+    #[inline]
+    fn prob(&mut self) -> f64 {
+        self.probs[self.cur.raw() as usize]
     }
-    Ok(Csr::from_counts(&counts, data))
 }
 
-/// Which edge-store tier a run materialises.
+/// One stored row item and its byte encoding on the compressed and disk
+/// tiers: the target as a zig-zag varint delta, then the item's payload.
+/// Implemented for [`Edge`] (target delta, movers varint, probability id)
+/// and for the `(column, probability)` entry of the chain's `Q` (target
+/// delta, probability id).
+pub trait RowItem: Copy {
+    /// The row this item points at: a successor id, or a `Q` column.
+    fn target(&self) -> u32;
+    /// Appends the item (target first) to the stream.
+    fn encode(&self, w: &mut DeltaStreamWriter);
+    /// Reads one item back, mirroring [`RowItem::encode`].
+    fn decode(r: &mut impl ItemReader) -> Self;
+}
+
+impl RowItem for Edge {
+    #[inline]
+    fn target(&self) -> u32 {
+        self.to
+    }
+
+    #[inline]
+    fn encode(&self, w: &mut DeltaStreamWriter) {
+        w.target(self.to);
+        w.raw(self.movers);
+        w.prob(self.prob);
+    }
+
+    #[inline]
+    fn decode(r: &mut impl ItemReader) -> Self {
+        Edge {
+            to: r.target(),
+            movers: r.raw(),
+            prob: r.prob(),
+        }
+    }
+}
+
+impl RowItem for (u32, f64) {
+    #[inline]
+    fn target(&self) -> u32 {
+        self.0
+    }
+
+    #[inline]
+    fn encode(&self, w: &mut DeltaStreamWriter) {
+        w.target(self.0);
+        w.prob(self.1);
+    }
+
+    #[inline]
+    fn decode(r: &mut impl ItemReader) -> Self {
+        (r.target(), r.prob())
+    }
+}
+
+/// Which tier a run materialises its rows (edges, and the chain's `Q`)
+/// in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EdgeStoreKind {
-    /// The flat `Csr<Edge>` tier: 24 B/edge, u32 offsets, slice access —
+    /// The flat `Csr` tier: 24 B/edge, u32 offsets, slice access —
     /// the fastest store while edge memory fits.
     #[default]
     Flat,
@@ -418,68 +450,86 @@ impl EdgeStoreKind {
     }
 }
 
-/// Read access to per-row edge storage, implemented by both tiers and by
-/// the runtime-selected [`EdgeStorage`].
-pub trait EdgeStore {
-    /// Number of rows (explored configurations).
+/// Row access, implemented by every tier and by the runtime-selected
+/// [`RowStorage`]. Code generic over it (the solvers, the stream
+/// inversion) runs monomorphically over the concrete row cursor.
+pub trait RowStore {
+    /// The decoded row item.
+    type Item: RowItem;
+    /// The zero-alloc row cursor.
+    type Row<'a>: Iterator<Item = Self::Item>
+    where
+        Self: 'a;
+    /// Number of rows.
     fn n_rows(&self) -> usize;
-    /// Total number of stored edges (u64: representable past 2³²).
-    fn n_edges(&self) -> u64;
-    /// Heap bytes held by the store (offsets + edge data + side tables).
-    fn edge_bytes(&self) -> u64;
-    /// Which tier this store is.
-    fn kind(&self) -> EdgeStoreKind;
-    /// Zero-alloc cursor over row `i`'s decoded edges, in `(to, movers)`
-    /// order.
-    fn row_iter(&self, i: usize) -> EdgeIter<'_>;
-    /// Whether row `i` stores no edges (terminal configuration).
-    fn row_is_empty(&self, i: usize) -> bool;
+    /// Cursor over row `i`'s items, ascending by target.
+    fn row_iter(&self, i: usize) -> Self::Row<'_>;
+    /// The bytes a row walk keeps in RAM on behalf of spilled rows — the
+    /// figure the solvers feed their budget probes. 0 on the in-RAM tiers,
+    /// whose whole footprint was charged when the store was built; on the
+    /// disk tier, [`DiskRows::resident_bytes`] (offsets, probability
+    /// table and the pinned chunk cache).
+    fn spill_resident_bytes(&self) -> u64 {
+        0
+    }
 }
 
-impl EdgeStore for Csr<Edge> {
+impl<T: RowItem> RowStore for Csr<T> {
+    type Item = T;
+    type Row<'a>
+        = std::iter::Copied<std::slice::Iter<'a, T>>
+    where
+        Self: 'a;
+
     fn n_rows(&self) -> usize {
         Csr::n_rows(self)
     }
 
-    fn n_edges(&self) -> u64 {
-        self.n_entries() as u64
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        (self.n_entries() * std::mem::size_of::<Edge>()
-            + (Csr::n_rows(self) + 1) * std::mem::size_of::<u32>()) as u64
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        EdgeStoreKind::Flat
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        EdgeIter::Flat(self.row(i).iter())
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.row(i).is_empty()
+    #[inline]
+    fn row_iter(&self, i: usize) -> Self::Row<'_> {
+        self.row(i).iter().copied()
     }
 }
 
-/// The compressed tier: per-row zig-zag varint successor deltas plus a
+/// Zero-alloc decoding cursor over one row of a stream tier: the
+/// compressed tier reads through a [`DeltaStreamReader`], the disk tier
+/// through a [`DiskReader`].
+#[derive(Debug, Clone)]
+pub struct StreamRow<R, T> {
+    reader: R,
+    item: PhantomData<fn() -> T>,
+}
+
+impl<R: ItemReader, T: RowItem> Iterator for StreamRow<R, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        if self.reader.done() {
+            return None;
+        }
+        Some(T::decode(&mut self.reader))
+    }
+}
+
+/// The compressed tier: per-row zig-zag varint target deltas plus a
 /// deduplicated probability table, delimited by u64 byte offsets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedEdges {
+#[derive(Debug)]
+pub struct CompressedRows<T> {
     /// Byte offset of each row's encoding in `stream` (`n_rows + 1`
     /// entries, monotone).
     offsets: Vec<u64>,
-    /// The packed edge stream.
+    /// The packed row stream.
     stream: Vec<u8>,
-    /// Deduplicated Definition 6 probabilities, indexed by the stream's
-    /// probability ids.
+    /// Deduplicated probabilities, indexed by the stream's probability
+    /// ids.
     probs: Vec<f64>,
-    /// Total edges across all rows.
-    n_edges: u64,
+    /// Total items across all rows.
+    n_items: u64,
+    item: PhantomData<fn() -> T>,
 }
 
-impl CompressedEdges {
+impl<T> CompressedRows<T> {
     /// Number of distinct probabilities interned in the side table.
     pub fn prob_table_len(&self) -> usize {
         self.probs.len()
@@ -489,127 +539,64 @@ impl CompressedEdges {
     pub fn offsets(&self) -> &[u64] {
         &self.offsets
     }
-
-    /// The packed edge stream bytes.
-    pub fn stream(&self) -> &[u8] {
-        &self.stream
-    }
-
-    /// The deduplicated probability table.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Reassembles a store from checkpointed parts (inverse of the
-    /// accessors above).
-    pub fn from_parts(offsets: Vec<u64>, stream: Vec<u8>, probs: Vec<f64>, n_edges: u64) -> Self {
-        CompressedEdges {
-            offsets,
-            stream,
-            probs,
-            n_edges,
-        }
-    }
 }
 
-impl EdgeStore for CompressedEdges {
+impl<T: RowItem> RowStore for CompressedRows<T> {
+    type Item = T;
+    type Row<'a>
+        = StreamRow<DeltaStreamReader<'a>, T>
+    where
+        Self: 'a;
+
     fn n_rows(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    fn n_edges(&self) -> u64 {
-        self.n_edges
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        (self.stream.len()
-            + self.offsets.len() * std::mem::size_of::<u64>()
-            + self.probs.len() * std::mem::size_of::<f64>()) as u64
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        EdgeStoreKind::Compressed
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        EdgeIter::Compressed(CompressedRow(DeltaStreamReader::new(
-            &self.stream,
-            &self.offsets,
-            i,
-            &self.probs,
-        )))
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.offsets[i] == self.offsets[i + 1]
-    }
-}
-
-/// Zero-alloc decoding cursor over one compressed edge row.
-#[derive(Debug, Clone)]
-pub struct CompressedRow<'a>(DeltaStreamReader<'a>);
-
-impl Iterator for CompressedRow<'_> {
-    type Item = Edge;
-
     #[inline]
-    fn next(&mut self) -> Option<Edge> {
-        if self.0.done() {
-            return None;
+    fn row_iter(&self, i: usize) -> Self::Row<'_> {
+        StreamRow {
+            reader: DeltaStreamReader::new(&self.stream, &self.offsets, i, &self.probs),
+            item: PhantomData,
         }
-        Some(Edge {
-            to: self.0.target(),
-            movers: self.0.raw(),
-            prob: self.0.prob(),
-        })
     }
 }
 
-/// The disk tier: the compressed encoding of [`CompressedEdges`], but
+/// The disk tier: the compressed encoding of [`CompressedRows`], but
 /// with the byte stream spilled to CRC-framed chunk files (see
 /// [`super::spill`]); only the u64 row offsets, the deduplicated
 /// probability table and a pinned-budget chunk cache stay resident.
 /// Chunks end on row boundaries, so every row decodes from exactly one
 /// cached chunk.
 #[derive(Debug)]
-pub struct DiskEdges {
+pub struct DiskRows<T> {
     /// Global byte offset of each row's encoding (`n_rows + 1` entries,
     /// monotone) — resident.
     offsets: Vec<u64>,
-    /// Deduplicated Definition 6 probabilities — resident.
+    /// Deduplicated probabilities — resident.
     probs: Vec<f64>,
-    /// Total edges across all rows.
-    n_edges: u64,
+    /// Total items across all rows.
+    n_items: u64,
     /// The spilled chunk files plus their cache.
     store: SpillStore,
+    item: PhantomData<fn() -> T>,
 }
 
-impl DiskEdges {
-    /// Number of distinct probabilities interned in the side table.
-    pub fn prob_table_len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// The byte offsets delimiting each row's encoding.
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// The deduplicated probability table.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
+impl<T> DiskRows<T> {
+    /// Resident side tables: the offsets and the probability table.
+    fn side_bytes(&self) -> u64 {
+        (self.offsets.len() * 8 + self.probs.len() * 8) as u64
     }
 
     /// Bytes currently resident in RAM: offsets + probability table +
     /// cached chunks (the figure budget probes report as cache pressure).
     pub fn resident_bytes(&self) -> u64 {
-        (self.offsets.len() * 8 + self.probs.len() * 8) as u64 + self.store.resident_bytes()
+        self.side_bytes() + self.store.resident_bytes()
     }
 
-    /// High-water mark of [`DiskEdges::resident_bytes`] across the
+    /// High-water mark of [`DiskRows::resident_bytes`] across the
     /// store's lifetime (cache peak, not current occupancy).
     pub fn peak_resident_bytes(&self) -> u64 {
-        (self.offsets.len() * 8 + self.probs.len() * 8) as u64 + self.store.peak_resident_bytes()
+        self.side_bytes() + self.store.peak_resident_bytes()
     }
 
     /// Total payload bytes spilled to chunk files.
@@ -639,109 +626,156 @@ impl DiskEdges {
     }
 }
 
-impl EdgeStore for DiskEdges {
+impl<T: RowItem> RowStore for DiskRows<T> {
+    type Item = T;
+    type Row<'a>
+        = StreamRow<DiskReader<'a>, T>
+    where
+        Self: 'a;
+
     fn n_rows(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    fn n_edges(&self) -> u64 {
-        self.n_edges
-    }
-
-    fn edge_bytes(&self) -> u64 {
-        // Total footprint (comparable across tiers): resident side
-        // tables plus the spilled stream bytes.
-        (self.offsets.len() * 8 + self.probs.len() * 8) as u64 + self.store.spilled_bytes()
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        EdgeStoreKind::Disk
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        EdgeIter::Disk(DiskRow {
-            cur: self.store.row_cursor(&self.offsets, i),
-            probs: &self.probs,
-        })
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.offsets[i] == self.offsets[i + 1]
-    }
-}
-
-/// Decoding cursor over one disk-tier row: owns a pinned reference to
-/// the row's cached chunk, so the cache may rotate underneath it.
-#[derive(Debug, Clone)]
-pub struct DiskRow<'a> {
-    cur: SpillCursor,
-    probs: &'a [f64],
-}
-
-impl Iterator for DiskRow<'_> {
-    type Item = Edge;
-
     #[inline]
-    fn next(&mut self) -> Option<Edge> {
-        if self.cur.done() {
-            return None;
+    fn row_iter(&self, i: usize) -> Self::Row<'_> {
+        StreamRow {
+            reader: DiskReader {
+                cur: self.store.row_cursor(&self.offsets, i),
+                probs: &self.probs,
+            },
+            item: PhantomData,
         }
-        Some(Edge {
-            to: self.cur.target(),
-            movers: self.cur.raw(),
-            prob: self.probs[self.cur.raw() as usize],
-        })
+    }
+
+    fn spill_resident_bytes(&self) -> u64 {
+        self.resident_bytes()
     }
 }
 
-/// Cursor over one row of any tier, yielding decoded [`Edge`]s by
-/// value in `(to, movers)` order.
+/// Cursor over one row of any tier, yielding decoded items by value in
+/// target order.
 #[derive(Debug, Clone)]
-pub enum EdgeIter<'a> {
+pub enum RowIter<'a, T> {
     /// Slice walk over the flat tier.
-    Flat(std::slice::Iter<'a, Edge>),
+    Flat(std::iter::Copied<std::slice::Iter<'a, T>>),
     /// Varint decode over the compressed tier.
-    Compressed(CompressedRow<'a>),
+    Compressed(StreamRow<DeltaStreamReader<'a>, T>),
     /// Varint decode over a pinned chunk of the disk tier.
-    Disk(DiskRow<'a>),
+    Disk(StreamRow<DiskReader<'a>, T>),
 }
 
-impl Iterator for EdgeIter<'_> {
-    type Item = Edge;
+impl<T: RowItem> Iterator for RowIter<'_, T> {
+    type Item = T;
 
     #[inline]
-    fn next(&mut self) -> Option<Edge> {
+    fn next(&mut self) -> Option<T> {
         match self {
-            EdgeIter::Flat(it) => it.next().copied(),
-            EdgeIter::Compressed(it) => it.next(),
-            EdgeIter::Disk(it) => it.next(),
+            RowIter::Flat(it) => it.next(),
+            RowIter::Compressed(it) => it.next(),
+            RowIter::Disk(it) => it.next(),
         }
     }
 }
 
-/// The per-run edge store of a [`TransitionSystem`](super::TransitionSystem):
-/// whichever tier [`ExploreOptions::with_edge_store`](super::ExploreOptions::with_edge_store)
-/// selected.
+/// A runtime-selected row store: whichever tier the run picked.
 // One instance per run, so the Disk variant's inline size is moot.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum EdgeStorage {
-    /// Flat `Csr<Edge>` tier.
-    Flat(Csr<Edge>),
+pub enum RowStorage<T> {
+    /// Flat `Csr` tier.
+    Flat(Csr<T>),
     /// Byte-packed compressed tier.
-    Compressed(CompressedEdges),
+    Compressed(CompressedRows<T>),
     /// Disk-spilled compressed tier.
-    Disk(DiskEdges),
+    Disk(DiskRows<T>),
 }
 
-impl EdgeStorage {
+/// The per-run edge store of a [`TransitionSystem`](super::TransitionSystem).
+pub type EdgeStorage = RowStorage<Edge>;
+
+/// The builder of an [`EdgeStorage`].
+pub type EdgeStorageBuilder = RowStorageBuilder<Edge>;
+
+/// Cursor over one row of an [`EdgeStorage`].
+pub type EdgeIter<'a> = RowIter<'a, Edge>;
+
+impl<T: RowItem> RowStorage<T> {
+    /// Which tier this store is.
+    pub fn kind(&self) -> EdgeStoreKind {
+        match self {
+            RowStorage::Flat(_) => EdgeStoreKind::Flat,
+            RowStorage::Compressed(_) => EdgeStoreKind::Compressed,
+            RowStorage::Disk(_) => EdgeStoreKind::Disk,
+        }
+    }
+
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        match self {
+            RowStorage::Flat(c) => Csr::n_rows(c),
+            RowStorage::Compressed(c) => c.n_rows(),
+            RowStorage::Disk(d) => d.n_rows(),
+        }
+    }
+
+    /// Total stored items (u64: representable past 2³²).
+    pub fn n_entries(&self) -> u64 {
+        match self {
+            RowStorage::Flat(c) => c.n_entries() as u64,
+            RowStorage::Compressed(c) => c.n_items,
+            RowStorage::Disk(d) => d.n_items,
+        }
+    }
+
+    /// The store's footprint (offsets + items + side tables), comparable
+    /// across tiers: on the disk tier, the resident side tables plus the
+    /// spilled stream.
+    pub fn bytes(&self) -> u64 {
+        match self {
+            RowStorage::Flat(c) => {
+                (c.n_entries() * std::mem::size_of::<T>()
+                    + (Csr::n_rows(c) + 1) * std::mem::size_of::<u32>()) as u64
+            }
+            RowStorage::Compressed(c) => {
+                (c.stream.len() + c.offsets.len() * 8 + c.probs.len() * 8) as u64
+            }
+            RowStorage::Disk(d) => d.side_bytes() + d.spilled_bytes(),
+        }
+    }
+
+    /// Cursor over row `i`'s items, ascending by target.
+    #[inline]
+    pub fn row_iter(&self, i: usize) -> RowIter<'_, T> {
+        match self {
+            RowStorage::Flat(c) => RowIter::Flat(c.row_iter(i)),
+            RowStorage::Compressed(c) => RowIter::Compressed(c.row_iter(i)),
+            RowStorage::Disk(d) => RowIter::Disk(d.row_iter(i)),
+        }
+    }
+
+    /// Row `i` decoded into a fresh vector (test and display
+    /// convenience; the hot loops iterate [`RowStorage::row_iter`]).
+    pub fn row_vec(&self, i: usize) -> Vec<T> {
+        self.row_iter(i).collect()
+    }
+
+    /// Whether row `i` stores no items (a terminal configuration).
+    pub fn row_is_empty(&self, i: usize) -> bool {
+        match self {
+            RowStorage::Flat(c) => c.row(i).is_empty(),
+            RowStorage::Compressed(c) => c.offsets[i] == c.offsets[i + 1],
+            RowStorage::Disk(d) => d.offsets[i] == d.offsets[i + 1],
+        }
+    }
+
     /// Row `i` as a slice — **flat tier only**: `None` on the compressed
     /// and disk tiers, whose rows exist only in decoded form (iterate
-    /// [`EdgeStore::row_iter`] instead).
-    pub fn try_row_slice(&self, i: usize) -> Option<&[Edge]> {
+    /// [`RowStorage::row_iter`] instead).
+    pub fn try_row_slice(&self, i: usize) -> Option<&[T]> {
         match self {
-            EdgeStorage::Flat(csr) => Some(csr.row(i)),
-            EdgeStorage::Compressed(_) | EdgeStorage::Disk(_) => None,
+            RowStorage::Flat(c) => Some(c.row(i)),
+            RowStorage::Compressed(_) | RowStorage::Disk(_) => None,
         }
     }
 
@@ -750,28 +784,28 @@ impl EdgeStorage {
     /// # Panics
     ///
     /// Panics on the compressed tier; prefer
-    /// [`EdgeStorage::try_row_slice`] (or the typed
+    /// [`RowStorage::try_row_slice`] (or the typed
     /// `CoreError::FlatStoreRequired` surface of
     /// `TransitionSystem::edges`).
-    pub fn row_slice(&self, i: usize) -> &[Edge] {
+    pub fn row_slice(&self, i: usize) -> &[T] {
         self.try_row_slice(i)
             .expect("edge slices exist only on the flat store; use row_iter / edge_iter")
     }
 
-    /// The reverse adjacency as a `Csr<u32>` (row `j` = predecessors of
-    /// `j`, ascending with multiplicity), built by decoding the stream
-    /// twice on the compressed and disk tiers.
+    /// The reverse adjacency as a `Csr<u32>` (row `j` = rows with an
+    /// item targeting `j`, ascending with multiplicity), built by
+    /// decoding the stream twice on the compressed and disk tiers.
     ///
     /// # Panics
     ///
-    /// Panics if the edge count exceeds `u32::MAX` — the reverse CSR is
+    /// Panics if the item count exceeds `u32::MAX` — the reverse CSR is
     /// u32-offset (checked, never silently wrapped).
     pub fn invert_targets(&self) -> Csr<u32> {
         self.invert_targets_budgeted(&Budget::unlimited())
             .expect("unlimited budget cannot be exhausted")
     }
 
-    /// [`EdgeStorage::invert_targets`] under a cooperative [`Budget`]:
+    /// [`RowStorage::invert_targets`] under a cooperative [`Budget`]:
     /// the reverse-CSR allocation is probed on the `reverse` stage before
     /// anything is built, and the chunk-blocked decoding passes re-probe
     /// per row block, so an over-budget inversion surfaces as
@@ -783,41 +817,40 @@ impl EdgeStorage {
     /// [`CoreError::BudgetExhausted`] when a probe trips.
     pub fn invert_targets_budgeted(&self, budget: &Budget) -> Result<Csr<u32>, CoreError> {
         match self {
-            EdgeStorage::Flat(csr) => {
-                let full_bytes = csr.n_entries() as u64 * 4 + (Csr::n_rows(csr) as u64 + 1) * 4;
-                budget.probe("reverse", full_bytes, Csr::n_rows(csr) as u64)?;
-                Ok(csr.invert(|e| e.to))
+            RowStorage::Flat(c) => {
+                let full_bytes = c.n_entries() as u64 * 4 + (Csr::n_rows(c) as u64 + 1) * 4;
+                budget.probe("reverse", full_bytes, Csr::n_rows(c) as u64)?;
+                Ok(c.invert(|item| item.target()))
             }
-            EdgeStorage::Compressed(c) => invert_target_rows_budgeted(
-                EdgeStore::n_rows(c),
-                c.n_edges(),
-                |i| c.row_iter(i).map(|e| e.to),
-                budget,
-            ),
-            EdgeStorage::Disk(d) => invert_target_rows_budgeted(
-                EdgeStore::n_rows(d),
-                d.n_edges(),
-                |i| d.row_iter(i).map(|e| e.to),
-                budget,
-            ),
+            RowStorage::Compressed(c) => invert_stream(c, c.n_items, budget),
+            RowStorage::Disk(d) => invert_stream(d, d.n_items, budget),
         }
     }
 
-    /// Bytes currently resident in RAM: equal to
-    /// [`EdgeStore::edge_bytes`] on the in-RAM tiers; on the disk tier,
+    /// Bytes currently resident in RAM: the whole store
+    /// ([`RowStorage::bytes`]) on the in-RAM tiers; on the disk tier,
     /// only the offsets, probability table and cached chunks.
     pub fn resident_bytes(&self) -> u64 {
         match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => self.edge_bytes(),
-            EdgeStorage::Disk(d) => d.resident_bytes(),
+            RowStorage::Flat(_) | RowStorage::Compressed(_) => self.bytes(),
+            RowStorage::Disk(d) => d.resident_bytes(),
+        }
+    }
+
+    /// High-water mark of [`RowStorage::resident_bytes`]: equal to it
+    /// on the in-RAM tiers, the cache's peak on the disk tier.
+    pub fn peak_resident_bytes(&self) -> u64 {
+        match self {
+            RowStorage::Flat(_) | RowStorage::Compressed(_) => self.bytes(),
+            RowStorage::Disk(d) => d.peak_resident_bytes(),
         }
     }
 
     /// Bytes spilled to chunk files: zero on the in-RAM tiers.
     pub fn spilled_bytes(&self) -> u64 {
         match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => 0,
-            EdgeStorage::Disk(d) => d.spilled_bytes(),
+            RowStorage::Flat(_) | RowStorage::Compressed(_) => 0,
+            RowStorage::Disk(d) => d.spilled_bytes(),
         }
     }
 
@@ -825,210 +858,148 @@ impl EdgeStorage {
     /// in-RAM tiers.
     pub fn spill_cache_stats(&self) -> Option<(u64, u64)> {
         match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => None,
-            EdgeStorage::Disk(d) => Some(d.cache_stats()),
-        }
-    }
-
-    /// High-water mark of [`EdgeStorage::resident_bytes`]: equal to it
-    /// on the in-RAM tiers, the cache's peak on the disk tier.
-    pub fn peak_resident_bytes(&self) -> u64 {
-        match self {
-            EdgeStorage::Flat(_) | EdgeStorage::Compressed(_) => self.edge_bytes(),
-            EdgeStorage::Disk(d) => d.peak_resident_bytes(),
+            RowStorage::Flat(_) | RowStorage::Compressed(_) => None,
+            RowStorage::Disk(d) => Some(d.cache_stats()),
         }
     }
 }
 
-impl EdgeStore for EdgeStorage {
+impl RowStorage<Edge> {
+    /// Total stored edges ([`RowStorage::n_entries`]).
+    pub fn n_edges(&self) -> u64 {
+        self.n_entries()
+    }
+
+    /// The edge store's footprint ([`RowStorage::bytes`]).
+    pub fn edge_bytes(&self) -> u64 {
+        self.bytes()
+    }
+}
+
+impl RowStorage<(u32, f64)> {
+    /// The `Q` store's footprint ([`RowStorage::bytes`]) — the `Q`-side
+    /// analogue of the engine's `edge_bytes`.
+    pub fn q_bytes(&self) -> u64 {
+        self.bytes()
+    }
+
+    /// The `Q` store's resident set ([`RowStorage::resident_bytes`]).
+    pub fn resident_q_bytes(&self) -> u64 {
+        self.resident_bytes()
+    }
+}
+
+impl<T: RowItem> RowStore for RowStorage<T> {
+    type Item = T;
+    type Row<'a>
+        = RowIter<'a, T>
+    where
+        Self: 'a;
+
     fn n_rows(&self) -> usize {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::n_rows(c),
-            EdgeStorage::Compressed(c) => EdgeStore::n_rows(c),
-            EdgeStorage::Disk(d) => EdgeStore::n_rows(d),
-        }
+        RowStorage::n_rows(self)
     }
 
-    fn n_edges(&self) -> u64 {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::n_edges(c),
-            EdgeStorage::Compressed(c) => c.n_edges(),
-            EdgeStorage::Disk(d) => d.n_edges(),
-        }
+    fn row_iter(&self, i: usize) -> RowIter<'_, T> {
+        RowStorage::row_iter(self, i)
     }
 
-    fn edge_bytes(&self) -> u64 {
+    fn spill_resident_bytes(&self) -> u64 {
         match self {
-            EdgeStorage::Flat(c) => EdgeStore::edge_bytes(c),
-            EdgeStorage::Compressed(c) => c.edge_bytes(),
-            EdgeStorage::Disk(d) => EdgeStore::edge_bytes(d),
-        }
-    }
-
-    fn kind(&self) -> EdgeStoreKind {
-        match self {
-            EdgeStorage::Flat(_) => EdgeStoreKind::Flat,
-            EdgeStorage::Compressed(_) => EdgeStoreKind::Compressed,
-            EdgeStorage::Disk(_) => EdgeStoreKind::Disk,
-        }
-    }
-
-    fn row_iter(&self, i: usize) -> EdgeIter<'_> {
-        match self {
-            EdgeStorage::Flat(c) => c.row_iter(i),
-            EdgeStorage::Compressed(c) => c.row_iter(i),
-            EdgeStorage::Disk(d) => d.row_iter(i),
-        }
-    }
-
-    fn row_is_empty(&self, i: usize) -> bool {
-        match self {
-            EdgeStorage::Flat(c) => EdgeStore::row_is_empty(c, i),
-            EdgeStorage::Compressed(c) => c.row_is_empty(i),
-            EdgeStorage::Disk(d) => d.row_is_empty(i),
+            RowStorage::Flat(_) | RowStorage::Compressed(_) => 0,
+            RowStorage::Disk(d) => d.resident_bytes(),
         }
     }
 }
 
-/// Incremental writer for the compressed tier: rows are appended in id
-/// order, each item encoded as `(target delta, movers, prob id)` through
-/// the shared [`DeltaStreamWriter`].
-#[derive(Debug, Default)]
-pub struct CompressedEdgesBuilder {
-    w: DeltaStreamWriter,
+/// Rows decoded between two budget probes of the inversion passes.
+const INVERT_PROBE_STRIDE: usize = 1 << 16;
+
+/// Counting-sort inversion of a stream tier (the flat tier uses
+/// [`Csr::invert`]), decoding each row twice. The full reverse-CSR
+/// allocation (4 B/entry data + 4 B/row counts + cursor) is probed on
+/// the `reverse` stage up front, and both decoding passes re-probe every
+/// `INVERT_PROBE_STRIDE` (65 536) rows — the passes run row-sequentially,
+/// so on the disk tier chunks rotate through the cache exactly once per
+/// pass.
+///
+/// # Panics
+///
+/// Panics if `n_entries` exceeds `u32::MAX` — the reverse CSR is
+/// u32-offset (checked, never silently wrapped).
+fn invert_stream<S: RowStore>(
+    rows: &S,
+    n_entries: u64,
+    budget: &Budget,
+) -> Result<Csr<u32>, CoreError> {
+    assert!(
+        n_entries <= u32::MAX as u64,
+        "reverse CSR is u32-offset; {n_entries} entries exceed it"
+    );
+    let n_rows = rows.n_rows();
+    let full_bytes = n_entries * 4 + (n_rows as u64) * 8;
+    budget.probe("reverse", full_bytes, n_rows as u64)?;
+    let mut counts = vec![0u32; n_rows];
+    for i in 0..n_rows {
+        if i % INVERT_PROBE_STRIDE == 0 && i > 0 {
+            budget.probe("reverse", (n_rows as u64) * 4, i as u64)?;
+        }
+        for item in rows.row_iter(i) {
+            counts[item.target() as usize] += 1;
+        }
+    }
+    // Exclusive prefix sum = the write cursor per target row
+    // (`Csr::from_counts` re-derives the offsets from `counts`).
+    let mut cursor = Vec::with_capacity(n_rows);
+    let mut acc = 0u32;
+    for &c in &counts {
+        cursor.push(acc);
+        acc += c;
+    }
+    let mut data = vec![0u32; n_entries as usize];
+    for i in 0..n_rows {
+        if i % INVERT_PROBE_STRIDE == 0 && i > 0 {
+            budget.probe("reverse", full_bytes, i as u64)?;
+        }
+        for item in rows.row_iter(i) {
+            let t = item.target() as usize;
+            // lint: cast-ok(row index is bounded by the u32 id width)
+            data[cursor[t] as usize] = i as u32;
+            cursor[t] += 1;
+        }
+    }
+    Ok(Csr::from_counts(&counts, data))
 }
 
-impl CompressedEdgesBuilder {
-    /// An empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends the next row (edges sorted by `(to, movers)`, as every
-    /// exploration path produces them).
-    pub fn push_row(&mut self, edges: &[Edge]) {
-        for e in edges {
-            self.w.target(e.to);
-            self.w.raw(e.movers);
-            self.w.prob(e.prob);
-        }
-        self.w.end_row();
-    }
-
-    /// Finalises the stream.
-    pub fn finish(self) -> CompressedEdges {
-        let (offsets, stream, probs, n_edges) = self.w.into_parts();
-        CompressedEdges {
-            offsets,
-            stream,
-            probs,
-            n_edges,
-        }
-    }
-
-    /// The underlying writer (checkpoint snapshot surface).
-    pub fn writer(&self) -> &DeltaStreamWriter {
-        &self.w
-    }
-
-    /// Rebuilds a builder around a restored writer.
-    pub fn from_writer(w: DeltaStreamWriter) -> Self {
-        CompressedEdgesBuilder { w }
-    }
-}
-
-/// Incremental writer for the disk tier: identical encoding to
-/// [`CompressedEdgesBuilder`], but whenever the pending stream tail
-/// reaches the configured chunk size at a row boundary it is drained
-/// into a CRC-framed chunk file, so the builder's resident set stays
-/// bounded by one chunk regardless of system size.
+/// Tier-selected assembly of a [`RowStorage`]: rows (or whole chunks of
+/// rows) are appended in id order and the selected store comes out of
+/// [`RowStorageBuilder::finish`].
 #[derive(Debug)]
-pub struct DiskEdgesBuilder {
-    w: DeltaStreamWriter,
-    sink: SpillSink,
-}
-
-impl DiskEdgesBuilder {
-    /// An empty builder spilling per `cfg` (a fresh self-cleaning
-    /// temporary directory when `cfg.dir` is `None`).
-    pub fn new(cfg: &SpillConfig) -> Self {
-        DiskEdgesBuilder {
-            w: DeltaStreamWriter::new(),
-            sink: SpillSink::create(cfg),
-        }
-    }
-
-    /// Appends the next row (edges sorted by `(to, movers)`), spilling a
-    /// chunk when the pending tail is large enough.
-    pub fn push_row(&mut self, edges: &[Edge]) {
-        for e in edges {
-            self.w.target(e.to);
-            self.w.raw(e.movers);
-            self.w.prob(e.prob);
-        }
-        self.w.end_row();
-        self.sink.maybe_spill(&mut self.w);
-    }
-
-    /// The underlying writer (checkpoint snapshot surface; its pending
-    /// tail starts at [`DeltaStreamWriter::pending_base`], earlier bytes
-    /// are read back through [`DiskEdgesBuilder::byte_range`]).
-    pub fn writer(&self) -> &DeltaStreamWriter {
-        &self.w
-    }
-
-    /// Rebuilds a builder around a restored writer; the restored stream
-    /// bytes are re-spilled as rows keep arriving.
-    pub fn from_writer(w: DeltaStreamWriter, cfg: &SpillConfig) -> Self {
-        DiskEdgesBuilder {
-            w,
-            sink: SpillSink::create(cfg),
-        }
-    }
-
-    /// Copies the global byte range `start..end` of the stream —
-    /// re-reading spilled chunks where needed — so checkpoint frames can
-    /// snapshot deltas that have already left RAM.
-    pub fn byte_range(&self, start: u64, end: u64) -> Vec<u8> {
-        self.sink.byte_range(&self.w, start, end)
-    }
-
-    /// Finalises: drains the pending tail into a last chunk and seals
-    /// the chunk set behind its cache.
-    pub fn finish(mut self) -> DiskEdges {
-        if self.w.pending_len() > 0 {
-            self.sink.spill(&mut self.w);
-        }
-        let (offsets, _stream, probs, n_edges) = self.w.into_parts();
-        DiskEdges {
-            offsets,
-            probs,
-            n_edges,
-            store: self.sink.finish(),
-        }
-    }
-}
-
-/// Tier-selected assembly used by the exploration paths: rows (or whole
-/// chunks of rows) are appended in id order and the selected store comes
-/// out of [`EdgeStorageBuilder::finish`].
-#[derive(Debug)]
-pub enum EdgeStorageBuilder {
-    /// Accumulates per-row counts + flat edges for `Csr::from_counts`.
+pub enum RowStorageBuilder<T> {
+    /// Accumulates per-row counts + flat items for `Csr::from_counts`.
     Flat {
-        /// Per-row edge counts.
+        /// Per-row item counts.
         counts: Vec<u32>,
         /// Concatenated row data.
-        edges: Vec<Edge>,
+        items: Vec<T>,
     },
-    /// Streams rows straight into the compressed encoding.
-    Compressed(CompressedEdgesBuilder),
-    /// Streams rows into the compressed encoding, spilling chunks to
-    /// disk as they fill.
-    Disk(DiskEdgesBuilder),
+    /// Streams rows straight into the compressed encoding. With a sink
+    /// (the disk tier), whenever the pending stream tail reaches the
+    /// configured chunk size at a row boundary it is drained into a
+    /// CRC-framed chunk file, so the resident set stays bounded by one
+    /// chunk regardless of system size.
+    Stream {
+        /// The shared delta encoder (on the disk tier, its pending tail
+        /// starts at [`DeltaStreamWriter::pending_base`]; earlier bytes
+        /// are read back through [`SpillSink::byte_range`]).
+        w: DeltaStreamWriter,
+        /// The chunk writer of the disk tier; `None` keeps the stream in
+        /// RAM (the compressed tier).
+        sink: Option<SpillSink>,
+    },
 }
 
-impl EdgeStorageBuilder {
+impl<T: RowItem> RowStorageBuilder<T> {
     /// An empty builder of the selected tier (the disk tier with its
     /// default [`SpillConfig`]: a self-cleaning temporary directory).
     pub fn new(kind: EdgeStoreKind) -> Self {
@@ -1039,14 +1010,23 @@ impl EdgeStorageBuilder {
     /// disk tier (`cfg` is ignored by the in-RAM tiers).
     pub fn with_spill(kind: EdgeStoreKind, cfg: &SpillConfig) -> Self {
         match kind {
-            EdgeStoreKind::Flat => EdgeStorageBuilder::Flat {
+            EdgeStoreKind::Flat => RowStorageBuilder::Flat {
                 counts: Vec::new(),
-                edges: Vec::new(),
+                items: Vec::new(),
             },
-            EdgeStoreKind::Compressed => {
-                EdgeStorageBuilder::Compressed(CompressedEdgesBuilder::new())
-            }
-            EdgeStoreKind::Disk => EdgeStorageBuilder::Disk(DiskEdgesBuilder::new(cfg)),
+            EdgeStoreKind::Compressed => Self::from_writer(DeltaStreamWriter::new(), None),
+            EdgeStoreKind::Disk => Self::from_writer(DeltaStreamWriter::new(), Some(cfg)),
+        }
+    }
+
+    /// A stream-tier builder around a (possibly checkpoint-restored)
+    /// writer: spilling per `spill` on the disk tier, where restored
+    /// stream bytes are re-spilled as rows keep arriving; in RAM when
+    /// `spill` is `None`.
+    pub fn from_writer(w: DeltaStreamWriter, spill: Option<&SpillConfig>) -> Self {
+        RowStorageBuilder::Stream {
+            w,
+            sink: spill.map(SpillSink::create),
         }
     }
 
@@ -1056,71 +1036,97 @@ impl EdgeStorageBuilder {
     /// the pending chunk), not the spilled bytes.
     pub fn bytes_estimate(&self) -> u64 {
         match self {
-            EdgeStorageBuilder::Flat { counts, edges } => {
-                (edges.len() * std::mem::size_of::<Edge>() + counts.len() * 4) as u64
+            RowStorageBuilder::Flat { counts, items } => {
+                (items.len() * std::mem::size_of::<T>() + counts.len() * 4) as u64
             }
-            EdgeStorageBuilder::Compressed(b) => {
-                let (offsets, stream, probs, _) = b.writer().parts();
+            RowStorageBuilder::Stream { w, .. } => {
+                let (offsets, _, probs, _) = w.parts();
                 // lint: arith-ok(approximate size accounting over resident buffer lengths)
-                (stream.len() + offsets.len() * 8 + probs.len() * 8) as u64
-            }
-            EdgeStorageBuilder::Disk(b) => {
-                let (offsets, _, probs, _) = b.writer().parts();
-                // lint: arith-ok(approximate size accounting over resident buffer lengths)
-                (b.writer().pending_len() + offsets.len() * 8 + probs.len() * 8) as u64
+                (w.pending_len() + offsets.len() * 8 + probs.len() * 8) as u64
             }
         }
     }
 
-    /// Appends the next row.
+    /// Appends the next row (items sorted by target, as every exploration
+    /// path and the chain build produce them).
     ///
     /// # Panics
     ///
     /// Panics on the flat tier if the row holds more than `u32::MAX`
-    /// edges (u32 per-row counts).
-    pub fn push_row(&mut self, row: &[Edge]) {
+    /// items (u32 per-row counts).
+    pub fn push_row(&mut self, row: &[T]) {
         match self {
-            EdgeStorageBuilder::Flat { counts, edges } => {
-                counts.push(u32::try_from(row.len()).expect("row length exceeds u32::MAX edges"));
-                edges.extend_from_slice(row);
+            RowStorageBuilder::Flat { counts, items } => {
+                counts.push(u32::try_from(row.len()).expect("row length exceeds u32::MAX entries"));
+                items.extend_from_slice(row);
             }
-            EdgeStorageBuilder::Compressed(b) => b.push_row(row),
-            EdgeStorageBuilder::Disk(b) => b.push_row(row),
+            RowStorageBuilder::Stream { w, sink } => {
+                for item in row {
+                    item.encode(w);
+                }
+                w.end_row();
+                if let Some(sink) = sink {
+                    sink.maybe_spill(w);
+                }
+            }
         }
     }
 
-    /// Appends a whole chunk of rows (`chunk_counts[i]` edges each,
-    /// concatenated in `chunk_edges`) — the bulk path of the parallel
+    /// Appends a whole chunk of rows (`chunk_counts[i]` items each,
+    /// concatenated in `chunk_items`) — the bulk path of the parallel
     /// full sweep.
-    pub fn push_chunk(&mut self, chunk_counts: &[u32], chunk_edges: &[Edge]) {
-        if let EdgeStorageBuilder::Flat { counts, edges } = self {
+    pub fn push_chunk(&mut self, chunk_counts: &[u32], chunk_items: &[T]) {
+        if let RowStorageBuilder::Flat { counts, items } = self {
             counts.extend_from_slice(chunk_counts);
-            edges.extend_from_slice(chunk_edges);
+            items.extend_from_slice(chunk_items);
             return;
         }
         let mut base = 0usize;
         for &c in chunk_counts {
             // lint: arith-ok(base plus per-chunk counts stays within the slice the counts describe)
-            self.push_row(&chunk_edges[base..base + c as usize]);
-            // lint: arith-ok(cursor stays within chunk_edges.len, itself a valid usize)
+            self.push_row(&chunk_items[base..base + c as usize]);
+            // lint: arith-ok(cursor stays within chunk_items.len, itself a valid usize)
             base += c as usize;
         }
     }
 
-    /// Finalises the selected store.
+    /// Finalises the selected store; the disk tier drains its pending
+    /// tail into a last chunk and seals the chunk set behind its cache.
     ///
     /// # Panics
     ///
-    /// Panics on the flat tier past `u32::MAX` total edges
+    /// Panics on the flat tier past `u32::MAX` total items
     /// ([`Csr::from_counts`]'s checked offsets) — the compressed tiers
     /// are the supported representations at that scale.
-    pub fn finish(self) -> EdgeStorage {
+    pub fn finish(self) -> RowStorage<T> {
         match self {
-            EdgeStorageBuilder::Flat { counts, edges } => {
-                EdgeStorage::Flat(Csr::from_counts(&counts, edges))
+            RowStorageBuilder::Flat { counts, items } => {
+                RowStorage::Flat(Csr::from_counts(&counts, items))
             }
-            EdgeStorageBuilder::Compressed(b) => EdgeStorage::Compressed(b.finish()),
-            EdgeStorageBuilder::Disk(b) => EdgeStorage::Disk(b.finish()),
+            RowStorageBuilder::Stream { w, sink: None } => {
+                let (offsets, stream, probs, n_items) = w.into_parts();
+                RowStorage::Compressed(CompressedRows {
+                    offsets,
+                    stream,
+                    probs,
+                    n_items,
+                    item: PhantomData,
+                })
+            }
+            RowStorageBuilder::Stream {
+                mut w,
+                sink: Some(mut sink),
+            } => {
+                sink.spill(&mut w);
+                let (offsets, _, probs, n_items) = w.into_parts();
+                RowStorage::Disk(DiskRows {
+                    offsets,
+                    probs,
+                    n_items,
+                    store: sink.finish(),
+                    item: PhantomData,
+                })
+            }
         }
     }
 }
@@ -1164,15 +1170,18 @@ mod tests {
             vec![],
             vec![edge(0, 0b11, 0.25), edge(1, 0b1, 0.25), edge(1, 0b10, 0.5)],
         ];
-        let mut b = CompressedEdgesBuilder::new();
+        let mut b = EdgeStorageBuilder::new(EdgeStoreKind::Compressed);
         for r in &rows {
             b.push_row(r);
         }
         let store = b.finish();
-        assert_eq!(EdgeStore::n_rows(&store), 3);
+        assert_eq!(store.n_rows(), 3);
         assert_eq!(store.n_edges(), 5);
         // Two distinct probabilities interned.
-        assert_eq!(store.prob_table_len(), 2);
+        let EdgeStorage::Compressed(c) = &store else {
+            panic!("compressed tier expected")
+        };
+        assert_eq!(c.prob_table_len(), 2);
         for (i, want) in rows.iter().enumerate() {
             let got: Vec<Edge> = store.row_iter(i).collect();
             assert_eq!(&got, want, "row {i}");
@@ -1182,7 +1191,7 @@ mod tests {
 
     #[test]
     fn offsets_are_monotone_and_bytes_accounted() {
-        let mut b = CompressedEdgesBuilder::new();
+        let mut b = EdgeStorageBuilder::new(EdgeStoreKind::Compressed);
         for i in 0..50u32 {
             let row: Vec<Edge> = (0..i % 7)
                 .map(|j| edge(i + j, 1 << (j % 8), 0.125))
@@ -1190,12 +1199,15 @@ mod tests {
             b.push_row(&row);
         }
         let store = b.finish();
-        for w in store.offsets().windows(2) {
+        let EdgeStorage::Compressed(c) = &store else {
+            panic!("compressed tier expected")
+        };
+        for w in c.offsets().windows(2) {
             assert!(w[0] <= w[1], "offsets monotone");
         }
         assert_eq!(
-            *store.offsets().last().unwrap() as usize,
-            store.edge_bytes() as usize - store.offsets().len() * 8 - store.prob_table_len() * 8
+            *c.offsets().last().unwrap() as usize,
+            store.edge_bytes() as usize - c.offsets().len() * 8 - c.prob_table_len() * 8
         );
     }
 

@@ -92,7 +92,7 @@ use crate::{CoreError, LocalState};
 use super::bitset::BitSet;
 use super::csr::Csr;
 use super::cursor::ConfigCursor;
-use super::edgestore::{EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStore, EdgeStoreKind};
+use super::edgestore::{EdgeIter, EdgeStorage, EdgeStorageBuilder, EdgeStoreKind};
 use super::equivariance::{self, GateStamp};
 use super::ids;
 use super::onthefly::{self, ExploreMode, ExploreOptions, Quotient, StateIds, TraversalMode};
@@ -231,7 +231,7 @@ impl TransitionSystem {
     }
 
     /// [`TransitionSystem::explore_with`] under a [`RunGuard`]: the
-    /// guard's [`Budget`](super::Budget) is probed cooperatively at batch
+    /// guard's [`Budget`] is probed cooperatively at batch
     /// boundaries (exhaustion surfaces as
     /// [`CoreError::BudgetExhausted`] instead of an OOM kill), and its
     /// [`FaultPlan`](super::FaultPlan) injects deterministic kill-points

@@ -68,9 +68,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::bitset::BitSet;
-use super::edgestore::{
-    CompressedEdgesBuilder, DeltaStreamWriter, DiskEdgesBuilder, EdgeStorageBuilder, EdgeStoreKind,
-};
+use super::edgestore::{DeltaStreamWriter, EdgeStorageBuilder, EdgeStoreKind};
 use super::explore::{Edge, TransitionSystem};
 use super::onthefly::{Quotient, StateIds, StateTable, TraversalMode};
 use super::quotient::{GroupCanonicalizer, Strategy};
@@ -1125,53 +1123,44 @@ impl Checkpointer {
         e.bitmap(rows, |i| src.initial.get(from + i));
         // Edge-store delta.
         match src.builder {
-            EdgeStorageBuilder::Flat { counts, edges } => {
+            EdgeStorageBuilder::Flat { counts, items } => {
                 debug_assert_eq!(self.tier, EdgeStoreKind::Flat);
                 e.u64(rows as u64);
                 for &c in &counts[from..to] {
                     e.u32(c);
                 }
-                e.u64((edges.len() - self.wm_edges) as u64);
-                for edge in &edges[self.wm_edges..] {
+                e.u64((items.len() - self.wm_edges) as u64);
+                for edge in &items[self.wm_edges..] {
                     e.u32(edge.to);
                     e.u64(edge.movers);
                     e.f64(edge.prob);
                 }
-                self.wm_edges = edges.len();
+                self.wm_edges = items.len();
             }
-            EdgeStorageBuilder::Compressed(b) => {
-                debug_assert_eq!(self.tier, EdgeStoreKind::Compressed);
-                let (offsets, stream, probs, n_items) = b.writer().parts();
+            EdgeStorageBuilder::Stream { w, sink } => {
+                debug_assert_eq!(sink.is_some(), self.tier == EdgeStoreKind::Disk);
+                let (offsets, stream, probs, n_items) = w.parts();
                 e.u64(rows as u64);
                 for &o in &offsets[from + 1..to + 1] {
                     e.u64(o);
                 }
-                let bytes = &stream[offsets[from] as usize..offsets[to] as usize];
+                // One frame layout for both stream tiers. On the disk tier
+                // the checkpoint chain, not the spill directory, is the
+                // durability surface, so the delta's stream bytes are read
+                // back from already-spilled chunks where needed.
+                let spilled;
+                let bytes = match sink {
+                    Some(sink) => {
+                        spilled = sink.byte_range(w, offsets[from], offsets[to]);
+                        &spilled[..]
+                    }
+                    None => &stream[offsets[from] as usize..offsets[to] as usize],
+                };
                 e.u64(bytes.len() as u64);
                 e.raw(bytes);
                 // The interned-probability table is tiny and append-only
                 // in practice, but interning order is not a row-boundary
                 // invariant — persist it whole and let replay overwrite.
-                e.u64(probs.len() as u64);
-                for &p in probs {
-                    e.f64(p);
-                }
-                e.u64(n_items);
-            }
-            EdgeStorageBuilder::Disk(b) => {
-                debug_assert_eq!(self.tier, EdgeStoreKind::Disk);
-                // Same frame layout as the compressed tier — the
-                // checkpoint chain, not the spill directory, is the
-                // durability surface, so the delta's stream bytes are
-                // read back from already-spilled chunks where needed.
-                let (offsets, _, probs, n_items) = b.writer().parts();
-                e.u64(rows as u64);
-                for &o in &offsets[from + 1..to + 1] {
-                    e.u64(o);
-                }
-                let bytes = b.byte_range(offsets[from], offsets[to]);
-                e.u64(bytes.len() as u64);
-                e.raw(&bytes);
                 e.u64(probs.len() as u64);
                 for &p in probs {
                     e.f64(p);
@@ -1336,7 +1325,10 @@ impl ReplayBuilder {
         spill: &SpillConfig,
     ) -> EdgeStorageBuilder {
         match self {
-            ReplayBuilder::Flat { counts, edges } => EdgeStorageBuilder::Flat { counts, edges },
+            ReplayBuilder::Flat { counts, edges } => EdgeStorageBuilder::Flat {
+                counts,
+                items: edges,
+            },
             ReplayBuilder::Compressed {
                 offsets,
                 stream,
@@ -1344,11 +1336,7 @@ impl ReplayBuilder {
                 n_items,
             } => {
                 let w = DeltaStreamWriter::from_parts(offsets, stream, probs, n_items);
-                if tier == EdgeStoreKind::Disk {
-                    EdgeStorageBuilder::Disk(DiskEdgesBuilder::from_writer(w, spill))
-                } else {
-                    EdgeStorageBuilder::Compressed(CompressedEdgesBuilder::from_writer(w))
-                }
+                EdgeStorageBuilder::from_writer(w, (tier == EdgeStoreKind::Disk).then_some(spill))
             }
         }
     }
@@ -1951,7 +1939,7 @@ mod tests {
             legit.push(row % 2 == 0);
             let builder = EdgeStorageBuilder::Flat {
                 counts: counts.clone(),
-                edges: edges.clone(),
+                items: edges.clone(),
             };
             let src = SnapshotSource {
                 builder: &builder,

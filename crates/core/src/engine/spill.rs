@@ -1,5 +1,5 @@
-//! Disk spilling for the compressed edge stream: CRC-framed chunk files
-//! behind a pinned-budget cache.
+//! Disk spilling for the compressed row stream (edges, and the chain's
+//! `Q`): CRC-framed chunk files behind a pinned-budget cache.
 //!
 //! The compressed tier's byte stream is sequential-append with u64 row
 //! offsets, so the disk tier cuts it into **chunks at row boundaries**

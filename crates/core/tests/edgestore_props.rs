@@ -1,21 +1,24 @@
-//! Property-test battery pinning the three-tier edge store
-//! (`stab_core::engine::edgestore`): varint/zig-zag round trips,
-//! encode/decode round trips on arbitrary rows, monotone u64 offsets,
-//! byte accounting, statewise agreement between the compressed stream
-//! (in RAM or spilled to `WSR1` chunk files) and the flat `Csr<Edge>`
-//! tier, and the spill-integrity property: a torn or bit-flipped chunk
-//! is refused (typed error or panic) or served unchanged from cache —
-//! never decoded into a wrong system.
+//! Property-test battery pinning the three-tier row store
+//! (`stab_core::engine::edgestore`) for both of its item types — the
+//! transition system's [`Edge`]s and the chain's `(column, probability)`
+//! `Q` entries: varint/zig-zag round trips, encode/decode round trips on
+//! arbitrary rows (empty ones included), monotone u64 offsets, byte
+//! accounting, statewise agreement between the compressed stream (in RAM
+//! or spilled to `WSR1` chunk files) and the flat `Csr` tier, and the
+//! spill-integrity property: a torn or bit-flipped chunk is refused
+//! (typed error or panic) or served unchanged from cache — never decoded
+//! into a wrong system.
 
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use stab_core::engine::edgestore::vbyte;
 use stab_core::engine::{
-    CompressedEdgesBuilder, Csr, Edge, EdgeStorage, EdgeStorageBuilder, EdgeStore, EdgeStoreKind,
-    SpillConfig,
+    Csr, Edge, EdgeStorage, EdgeStoreKind, RowItem, RowStorage, RowStorageBuilder, SpillConfig,
 };
 
 /// A small palette of realistic Definition 6 probabilities (products of
@@ -42,23 +45,39 @@ fn row_strategy(n_ids: u32) -> impl Strategy<Value = Vec<Edge>> {
     })
 }
 
-fn build_both(rows: &[Vec<Edge>]) -> (EdgeStorage, EdgeStorage) {
-    let mut flat = EdgeStorageBuilder::new(EdgeStoreKind::Flat);
-    let mut comp = EdgeStorageBuilder::new(EdgeStoreKind::Compressed);
-    for r in rows {
-        flat.push_row(r);
-        comp.push_row(r);
-    }
-    (flat.finish(), comp.finish())
+/// Strategy: one row of `Q` entries, sorted by column as the chain build
+/// emits them (one entry per column: equal targets are merged).
+fn q_row_strategy(n_ids: u32) -> impl Strategy<Value = Vec<(u32, f64)>> {
+    vec((0..n_ids, 0usize..PROBS.len()), 0..12).prop_map(|row| {
+        let mut row: Vec<(u32, f64)> = row.into_iter().map(|(j, p)| (j, PROBS[p])).collect();
+        row.sort_unstable_by_key(|&(j, _)| j);
+        row.dedup_by_key(|&mut (j, _)| j);
+        row
+    })
 }
 
-fn build_disk(rows: &[Vec<Edge>], chunk_bytes: u64, cache_bytes: u64) -> EdgeStorage {
+fn build<T: RowItem>(kind: EdgeStoreKind, rows: &[Vec<T>]) -> RowStorage<T> {
+    let mut b = RowStorageBuilder::new(kind);
+    for r in rows {
+        b.push_row(r);
+    }
+    b.finish()
+}
+
+fn build_both<T: RowItem>(rows: &[Vec<T>]) -> (RowStorage<T>, RowStorage<T>) {
+    (
+        build(EdgeStoreKind::Flat, rows),
+        build(EdgeStoreKind::Compressed, rows),
+    )
+}
+
+fn build_disk<T: RowItem>(rows: &[Vec<T>], chunk_bytes: u64, cache_bytes: u64) -> RowStorage<T> {
     let cfg = SpillConfig {
         chunk_bytes,
         cache_bytes,
         ..SpillConfig::default()
     };
-    let mut disk = EdgeStorageBuilder::with_spill(EdgeStoreKind::Disk, &cfg);
+    let mut disk = RowStorageBuilder::with_spill(EdgeStoreKind::Disk, &cfg);
     for r in rows {
         disk.push_row(r);
     }
@@ -71,6 +90,86 @@ fn try_decode_all(store: &EdgeStorage, n_rows: usize) -> Option<Vec<Vec<Edge>>> 
         (0..n_rows).map(|i| store.row_iter(i).collect()).collect()
     }))
     .ok()
+}
+
+/// Encode → decode is the identity on `rows`, and the stream's
+/// bookkeeping (offsets, item count, byte accounting) is exact.
+fn compressed_round_trip<T: RowItem + PartialEq + Debug>(
+    rows: &[Vec<T>],
+) -> Result<(), TestCaseError> {
+    let store = build(EdgeStoreKind::Compressed, rows);
+    prop_assert_eq!(store.kind(), EdgeStoreKind::Compressed);
+    prop_assert_eq!(store.n_rows(), rows.len());
+    let want_items: u64 = rows.iter().map(|r| r.len() as u64).sum();
+    prop_assert_eq!(store.n_entries(), want_items);
+    let RowStorage::Compressed(c) = &store else {
+        return Err(TestCaseError::Fail(
+            "expected the compressed variant".into(),
+        ));
+    };
+    // Offsets are monotone u64 byte positions ending at the stream's
+    // length (the footprint minus the offset and prob tables).
+    for w in c.offsets().windows(2) {
+        prop_assert!(w[0] <= w[1], "offsets monotone");
+    }
+    let stream_bytes =
+        store.bytes() - (c.offsets().len() * 8) as u64 - (c.prob_table_len() * 8) as u64;
+    prop_assert_eq!(*c.offsets().last().unwrap(), stream_bytes);
+    // Statewise round trip.
+    for (i, want) in rows.iter().enumerate() {
+        prop_assert_eq!(&store.row_vec(i), want, "row {}", i);
+        prop_assert_eq!(store.row_is_empty(i), want.is_empty());
+    }
+    // Every interned probability is distinct and referenced.
+    prop_assert!(c.prob_table_len() <= PROBS.len());
+    Ok(())
+}
+
+/// The compressed tier decodes to exactly the rows the flat `Csr` tier
+/// stores, row for row, the selected-storage builders agree with a
+/// directly-assembled CSR, and both invert to the same reverse CSR.
+fn tiers_agree<T: RowItem + PartialEq + Debug>(rows: &[Vec<T>]) -> Result<(), TestCaseError> {
+    let (flat, comp) = build_both(rows);
+    prop_assert_eq!(flat.kind(), EdgeStoreKind::Flat);
+    let csr = Csr::from_rows(rows.to_vec());
+    prop_assert_eq!(flat.n_entries(), csr.n_entries() as u64);
+    prop_assert_eq!(comp.n_entries(), flat.n_entries());
+    for i in 0..rows.len() {
+        let from_flat = flat.row_vec(i);
+        let from_comp = comp.row_vec(i);
+        prop_assert_eq!(&from_flat, &from_comp, "row {}", i);
+        prop_assert_eq!(from_comp, csr.row(i).to_vec(), "row {} vs Csr", i);
+    }
+    prop_assert_eq!(flat.invert_targets(), comp.invert_targets());
+    Ok(())
+}
+
+/// The disk tier, under the given chunk and cache geometry, decodes to
+/// exactly the flat rows, inverts identically, spills whenever any row
+/// holds an item, and passes chunk verification.
+fn disk_agrees<T: RowItem + PartialEq + Debug>(
+    rows: &[Vec<T>],
+    chunk_bytes: u64,
+    cache_bytes: u64,
+) -> Result<(), TestCaseError> {
+    let flat = build(EdgeStoreKind::Flat, rows);
+    let disk = build_disk(rows, chunk_bytes, cache_bytes);
+    prop_assert_eq!(disk.kind(), EdgeStoreKind::Disk);
+    prop_assert_eq!(disk.n_entries(), flat.n_entries());
+    for i in 0..rows.len() {
+        prop_assert_eq!(flat.row_vec(i), disk.row_vec(i), "row {}", i);
+    }
+    prop_assert_eq!(flat.invert_targets(), disk.invert_targets());
+    prop_assert_eq!(disk.spilled_bytes() > 0, flat.n_entries() > 0, "spill");
+    let RowStorage::Disk(d) = &disk else {
+        return Err(TestCaseError::Fail("expected the disk variant".into()));
+    };
+    d.verify_chunks().unwrap();
+    // The cache respects its pinned budget (one chunk may stay resident
+    // past it) and the residency math is coherent.
+    prop_assert!(d.resident_bytes() <= disk.bytes());
+    prop_assert!(d.peak_resident_bytes() >= d.resident_bytes());
+    Ok(())
 }
 
 proptest! {
@@ -96,90 +195,61 @@ proptest! {
         prop_assert_eq!(pos, buf.len(), "stream fully consumed");
     }
 
-    /// Encode → decode is the identity on arbitrary (sorted) rows, and
-    /// the stream's bookkeeping (offsets, edge count) is exact.
+    /// Encode → decode is the identity on arbitrary (sorted) edge rows,
+    /// and the stream's bookkeeping (offsets, edge count) is exact.
     #[test]
     fn compressed_round_trips_arbitrary_rows(
         rows in (1u32..200).prop_flat_map(|n| vec(row_strategy(n), 0..20)),
     ) {
-        let mut b = CompressedEdgesBuilder::new();
-        for r in &rows {
-            b.push_row(r);
-        }
-        let store = b.finish();
-        prop_assert_eq!(EdgeStore::n_rows(&store), rows.len());
-        let want_edges: u64 = rows.iter().map(|r| r.len() as u64).sum();
-        prop_assert_eq!(store.n_edges(), want_edges);
-        // Offsets are monotone u64 byte positions ending at the stream's
-        // length (edge_bytes minus the offset and prob tables).
-        for w in store.offsets().windows(2) {
-            prop_assert!(w[0] <= w[1], "offsets monotone");
-        }
-        let stream_bytes = store.edge_bytes()
-            - (store.offsets().len() * 8) as u64
-            - (store.prob_table_len() * 8) as u64;
-        prop_assert_eq!(*store.offsets().last().unwrap(), stream_bytes);
-        // Statewise round trip.
-        for (i, want) in rows.iter().enumerate() {
-            let got: Vec<Edge> = store.row_iter(i).collect();
-            prop_assert_eq!(&got, want, "row {}", i);
-            prop_assert_eq!(store.row_is_empty(i), want.is_empty());
-        }
-        // Every interned probability is distinct and referenced.
-        prop_assert!(store.prob_table_len() <= PROBS.len());
+        compressed_round_trip(&rows)?;
     }
 
-    /// The compressed tier decodes to exactly the rows the flat
-    /// `Csr<Edge>` tier stores, row for row, and the selected-storage
-    /// builders agree with a directly-assembled CSR.
+    /// The same round trip on `Q` rows.
+    #[test]
+    fn compressed_round_trips_arbitrary_q_rows(
+        rows in (1u32..200).prop_flat_map(|n| vec(q_row_strategy(n), 0..20)),
+    ) {
+        compressed_round_trip(&rows)?;
+    }
+
+    /// The compressed edge tier decodes to exactly the rows the flat
+    /// `Csr<Edge>` tier stores.
     #[test]
     fn tiers_agree_with_csr(
         // Square adjacency (targets < row count), as real transition
         // systems are — required by the reverse-CSR invert.
         rows in (1usize..16).prop_flat_map(|n| vec(row_strategy(n as u32), n..=n)),
     ) {
-        let (flat, comp) = build_both(&rows);
-        let csr = Csr::from_rows(rows.clone());
-        prop_assert_eq!(flat.n_edges(), csr.n_entries() as u64);
-        prop_assert_eq!(comp.n_edges(), flat.n_edges());
-        for i in 0..rows.len() {
-            let from_flat: Vec<Edge> = flat.row_iter(i).collect();
-            let from_comp: Vec<Edge> = comp.row_iter(i).collect();
-            prop_assert_eq!(&from_flat, &from_comp, "row {}", i);
-            prop_assert_eq!(from_comp, csr.row(i).to_vec(), "row {} vs Csr", i);
-        }
-        // Reverse adjacency built from the stream equals the flat invert.
-        prop_assert_eq!(flat.invert_targets(), comp.invert_targets());
+        tiers_agree(&rows)?;
     }
 
-    /// The disk tier — arbitrary chunk and cache geometry — decodes to
-    /// exactly the flat rows, inverts identically, and passes chunk
-    /// verification.
+    /// The compressed `Q` tier decodes to exactly the flat `QMatrix` rows.
+    #[test]
+    fn q_tiers_agree_with_csr(
+        rows in (1usize..16).prop_flat_map(|n| vec(q_row_strategy(n as u32), n..=n)),
+    ) {
+        tiers_agree(&rows)?;
+    }
+
+    /// The disk edge tier — arbitrary chunk and cache geometry — agrees
+    /// with the flat tier.
     #[test]
     fn disk_tier_agrees_with_flat(
         rows in (1usize..16).prop_flat_map(|n| vec(row_strategy(n as u32), n..=n)),
         chunk_bytes in 4u64..64,
         cache_bytes in 0u64..128,
     ) {
-        let (flat, _) = build_both(&rows);
-        let disk = build_disk(&rows, chunk_bytes, cache_bytes);
-        prop_assert_eq!(disk.kind(), EdgeStoreKind::Disk);
-        prop_assert_eq!(disk.n_edges(), flat.n_edges());
-        for i in 0..rows.len() {
-            let a: Vec<Edge> = flat.row_iter(i).collect();
-            let b: Vec<Edge> = disk.row_iter(i).collect();
-            prop_assert_eq!(a, b, "row {}", i);
-        }
-        prop_assert_eq!(flat.invert_targets(), disk.invert_targets());
-        if let EdgeStorage::Disk(d) = &disk {
-            d.verify_chunks().unwrap();
-            // The cache respects its pinned budget (one chunk may stay
-            // resident past it) and the residency math is coherent.
-            prop_assert!(d.resident_bytes() <= disk.edge_bytes());
-            prop_assert!(d.peak_resident_bytes() >= d.resident_bytes());
-        } else {
-            prop_assert!(false, "expected the disk variant");
-        }
+        disk_agrees(&rows, chunk_bytes, cache_bytes)?;
+    }
+
+    /// The disk `Q` tier agrees with the flat `QMatrix`.
+    #[test]
+    fn q_disk_tier_agrees_with_flat(
+        rows in (1usize..16).prop_flat_map(|n| vec(q_row_strategy(n as u32), n..=n)),
+        chunk_bytes in 4u64..64,
+        cache_bytes in 0u64..128,
+    ) {
+        disk_agrees(&rows, chunk_bytes, cache_bytes)?;
     }
 
     /// Spill-integrity: flip one byte (or tear the tail off) of an
@@ -201,7 +271,7 @@ proptest! {
         let disk = build_disk(&rows, chunk_bytes, cache_bytes);
         let expected = try_decode_all(&disk, rows.len()).expect("pristine store decodes");
         let EdgeStorage::Disk(d) = &disk else {
-            return Err(proptest::test_runner::TestCaseError::Fail(
+            return Err(TestCaseError::Fail(
                 "expected the disk variant".into(),
             ));
         };
@@ -252,10 +322,43 @@ proptest! {
         if edges >= 8 {
             prop_assert!(comp.edge_bytes() < flat.edge_bytes());
             let per_edge = (comp.edge_bytes() as f64
-                - (EdgeStore::n_rows(&comp) as u64 + 1) as f64 * 8.0
+                - (comp.n_rows() as u64 + 1) as f64 * 8.0
                 - 8.0 * PROBS.len() as f64)
                 / edges as f64;
             prop_assert!(per_edge <= 10.0, "stream bytes/edge {per_edge}");
         }
     }
+}
+
+/// The chain's `Q` rows on every tier, on a fixed fixture with an empty
+/// row: kinds are reported, rows and reverse adjacency agree, the
+/// compressed tier is smaller than the flat one, and the disk tier really
+/// spills (with its resident set bounded by its footprint).
+#[test]
+fn q_rows_agree_across_tiers() {
+    let rows: Vec<Vec<(u32, f64)>> = vec![
+        vec![(0, 0.5), (2, 0.25)],
+        vec![],
+        vec![(1, 0.125), (2, 0.5), (3, 0.25)],
+        vec![(0, 0.5)],
+    ];
+    let flat = build(EdgeStoreKind::Flat, &rows);
+    let comp = build(EdgeStoreKind::Compressed, &rows);
+    let disk = build(EdgeStoreKind::Disk, &rows);
+    for (store, kind) in [
+        (&flat, EdgeStoreKind::Flat),
+        (&comp, EdgeStoreKind::Compressed),
+        (&disk, EdgeStoreKind::Disk),
+    ] {
+        assert_eq!(store.kind(), kind);
+        assert_eq!(store.n_rows(), rows.len(), "{}", kind.label());
+        assert_eq!(store.n_entries(), 6, "{}", kind.label());
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(&store.row_vec(i), row, "{}: row {i}", kind.label());
+        }
+        assert_eq!(store.invert_targets(), flat.invert_targets());
+    }
+    assert!(comp.q_bytes() < flat.q_bytes());
+    assert!(disk.spilled_bytes() > 0, "disk Q must spill");
+    assert!(disk.resident_q_bytes() <= disk.q_bytes());
 }

@@ -288,7 +288,7 @@ impl<S: LocalState> AbsorbingChain<S> {
     /// The sparse `Q` store (transient-to-transient probabilities), in
     /// whichever tier the exploration selected. Iterate rows with
     /// [`QStorage::row_iter`]; the solvers accept it directly through the
-    /// [`crate::qstore::QRows`] trait.
+    /// engine's `RowStore` row-access trait.
     pub fn q(&self) -> &QStorage {
         &self.q
     }

@@ -1,12 +1,12 @@
 //! Expected hitting times and hitting-time distributions.
 
-use stab_core::engine::{BitSet, Budget};
+use stab_core::engine::{BitSet, Budget, RowStore};
 use stab_core::{Configuration, LocalState};
 
 use crate::chain::AbsorbingChain;
 use crate::error::MarkovError;
 use crate::linalg::{self, Solution};
-use crate::qstore::{QRows, QStorage};
+use crate::qstore::{QEntry, QStorage};
 
 /// Above this many transient states the sparse BiCGSTAB solver replaces
 /// dense Gaussian elimination.
@@ -138,7 +138,8 @@ struct Pinned<'a, M> {
     live: &'a BitSet,
 }
 
-impl<M: QRows> QRows for Pinned<'_, M> {
+impl<M: RowStore<Item = QEntry>> RowStore for Pinned<'_, M> {
+    type Item = QEntry;
     type Row<'b>
         = std::iter::Flatten<std::option::IntoIter<M::Row<'b>>>
     where
@@ -156,15 +157,19 @@ impl<M: QRows> QRows for Pinned<'_, M> {
             .flatten()
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.q.resident_bytes()
+    fn spill_resident_bytes(&self) -> u64 {
+        self.q.spill_resident_bytes()
     }
 }
 
 /// Solves `(I − Q) x = b` over concrete rows by the size-appropriate
 /// solver: dense Gaussian elimination up to [`DENSE_LIMIT`] rows (its
 /// residual measured by one explicit pass), budget-probed BiCGSTAB above.
-fn solve_rows<M: QRows>(q: &M, b: &[f64], budget: &Budget) -> Result<Solution, MarkovError> {
+fn solve_rows<M: RowStore<Item = QEntry>>(
+    q: &M,
+    b: &[f64],
+    budget: &Budget,
+) -> Result<Solution, MarkovError> {
     let n = q.n_rows();
     if n > DENSE_LIMIT {
         return linalg::bicgstab_budgeted(q, b, TOL, MAX_ITER, budget);
@@ -183,7 +188,7 @@ fn solve_rows<M: QRows>(q: &M, b: &[f64], budget: &Budget) -> Result<Solution, M
 
 /// [`solve_rows`] over `q`, or over `q` with the rows outside `live`
 /// pinned ([`Pinned`]).
-fn solve_on<M: QRows>(
+fn solve_on<M: RowStore<Item = QEntry>>(
     q: &M,
     live: Option<&BitSet>,
     b: &[f64],
@@ -600,6 +605,50 @@ mod tests {
         let got_avg = times.average_weighted(chain.transient_orbits(), chain.represented_configs());
         assert!(((times.worst_case() - worst) / worst).abs() < 1e-12);
         assert!(((got_avg - average) / average).abs() < 1e-12);
+    }
+
+    /// The solver's byte probes carry the rows' spill-resident figure: 0
+    /// on the in-RAM tiers (their bytes were charged when `Q` was built),
+    /// the offsets, probability table and chunk cache on the disk tier. A
+    /// one-byte budget therefore lets a BiCGSTAB-sized solve through on
+    /// the flat and compressed tiers and trips it on the disk tier.
+    #[test]
+    fn one_byte_budget_trips_the_solver_only_on_the_disk_tier() {
+        let a = HermanRing::on_ring(&builders::ring(11)).unwrap();
+        for kind in [
+            EdgeStoreKind::Flat,
+            EdgeStoreKind::Compressed,
+            EdgeStoreKind::Disk,
+        ] {
+            let opts = ExploreOptions::full().with_edge_store(kind);
+            let chain = AbsorbingChain::build_with(
+                &a,
+                Daemon::Synchronous,
+                &a.legitimacy(),
+                1 << 12,
+                &opts,
+            )
+            .unwrap();
+            assert!(
+                chain.n_transient() > DENSE_LIMIT,
+                "must take the BiCGSTAB path"
+            );
+            let got = chain.expected_steps_with(&Budget::unlimited().with_max_bytes(1));
+            if kind == EdgeStoreKind::Disk {
+                assert!(
+                    matches!(
+                        got,
+                        Err(MarkovError::Core(stab_core::CoreError::BudgetExhausted {
+                            stage: "solver",
+                            ..
+                        }))
+                    ),
+                    "disk tier: {got:?}"
+                );
+            } else {
+                assert!(got.is_ok(), "{}: {got:?}", kind.label());
+            }
+        }
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! a residual-stopped BiCGSTAB (van der Vorst's stabilized bi-conjugate
 //! gradient method) for large ones.
 //!
-//! The sparse solver is generic over [`QRows`], so it runs unchanged over
-//! the flat [`QMatrix`](crate::QMatrix), the compressed
-//! [`CompressedQ`](crate::CompressedQ) and the disk tier. Callers dispatch
-//! the tier once per solve, so every matrix-vector product runs
-//! monomorphically over the concrete row cursor. Each iteration costs two
+//! The sparse solver is generic over the engine's row-access trait
+//! [`RowStore`], so it runs unchanged over every tier of the one tier
+//! stack `Q` lives on: the flat [`QMatrix`](crate::QMatrix), the
+//! compressed stream and the disk spill. Callers dispatch the tier once
+//! per solve, so every matrix-vector product runs monomorphically over
+//! the concrete row cursor. Each iteration costs two
 //! products; on the compressed tier each product re-decodes the byte
 //! stream (and, on the disk tier, re-faults chunks through the cache),
 //! paying time for the memory reduction that lets 10⁸-entry chains fit.
 
-use stab_core::engine::Budget;
+use stab_core::engine::{Budget, RowStore};
 
 use crate::error::MarkovError;
-use crate::qstore::QRows;
+use crate::qstore::QEntry;
 
 /// Solves the dense system `A x = b` by Gaussian elimination with partial
 /// pivoting, consuming the inputs.
@@ -90,7 +91,7 @@ fn inf_norm(v: &[f64]) -> f64 {
 }
 
 /// `y ← (I − Q) v`: one pass over the rows.
-fn apply<M: QRows>(q: &M, v: &[f64], y: &mut [f64]) {
+fn apply<M: RowStore<Item = QEntry>>(q: &M, v: &[f64], y: &mut [f64]) {
     for (i, yi) in y.iter_mut().enumerate() {
         let qv: f64 = q.row_iter(i).map(|(j, p)| p * v[j as usize]).sum();
         *yi = v[i] - qv;
@@ -99,7 +100,12 @@ fn apply<M: QRows>(q: &M, v: &[f64], y: &mut [f64]) {
 
 /// `r ← b − (I − Q) x` by one explicit pass; returns the true residual
 /// `‖r‖∞`. All three vectors have one entry per row of `q`.
-pub(crate) fn residual_into<M: QRows>(q: &M, b: &[f64], x: &[f64], r: &mut [f64]) -> f64 {
+pub(crate) fn residual_into<M: RowStore<Item = QEntry>>(
+    q: &M,
+    b: &[f64],
+    x: &[f64],
+    r: &mut [f64],
+) -> f64 {
     apply(q, x, r);
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
@@ -120,7 +126,7 @@ pub(crate) fn residual_into<M: QRows>(q: &M, b: &[f64], x: &[f64], r: &mut [f64]
 /// [`MarkovError::SolverDiverged`] if the residual has not fallen below
 /// the threshold within `max_iter` iterations, or if the iteration breaks
 /// down with a non-finite step (a singular `I − Q`).
-pub fn bicgstab<M: QRows>(
+pub fn bicgstab<M: RowStore<Item = QEntry>>(
     q: &M,
     b: &[f64],
     tol: f64,
@@ -146,8 +152,9 @@ pub fn bicgstab<M: QRows>(
 /// appended to the store in that order, so on the disk tier consecutive
 /// rows share a spill chunk and each product rotates every chunk through
 /// the pinned cache exactly once. The per-iteration probe carries
-/// [`QRows::resident_bytes`] — the cache-pressure figure — so a byte
-/// budget observes the cache, not the spilled stream.
+/// [`RowStore::spill_resident_bytes`] — 0 on the in-RAM tiers, the disk
+/// tier's offsets, probability table and chunk cache — so a byte budget
+/// observes the cache, not the spilled stream.
 ///
 /// # Errors
 ///
@@ -163,7 +170,7 @@ pub fn bicgstab<M: QRows>(
 // Indexed loops: the vector updates read and write several same-length
 // vectors in lockstep.
 #[allow(clippy::needless_range_loop)]
-pub fn bicgstab_budgeted<M: QRows>(
+pub fn bicgstab_budgeted<M: RowStore<Item = QEntry>>(
     q: &M,
     b: &[f64],
     tol: f64,
@@ -198,7 +205,7 @@ pub fn bicgstab_budgeted<M: QRows>(
         residual,
     };
     for iter in 0..max_iter {
-        budget.probe("solver", q.resident_bytes(), iter as u64)?;
+        budget.probe("solver", q.spill_resident_bytes(), iter as u64)?;
         let mut rho = dot(&r_hat, &r);
         // A vanishing ρ (r orthogonal to r̂), a stagnating ω or an
         // unconfirmed stop restarts the recurrence from the true residual

@@ -1,479 +1,37 @@
-//! Two-tier storage for the transient-to-transient matrix `Q`, mirroring
-//! the engine's edge-store tiers (`stab_core::engine::edgestore`).
-//!
-//! The flat tier is the classic [`QMatrix`] — a `Csr<(u32, f64)>` holding
-//! `(column, probability)` pairs, 12–16 bytes per entry plus u32 offsets.
-//! The compressed tier ([`CompressedQ`]) packs each row as zig-zag varint
-//! **column deltas** (against the row's own transient index first, then
-//! the previous column — rows are sorted by column) plus a varint index
-//! into a deduplicated probability table, delimited by u64 byte offsets.
-//!
-//! The disk tier ([`DiskQ`]) goes one step further: the same compressed
-//! byte stream is spilled to `WSR1` chunk files through the engine's
-//! shared spill machinery (`stab_core::engine::spill`), and rows decode
-//! out of a pinned-budget chunk cache. Only the u64 offsets, the
-//! probability table, and the cache stay resident.
+//! The transient-to-transient matrix `Q` on the engine's tier stack
+//! (`stab_core::engine::edgestore`): `Q` is a [`RowStorage`] of
+//! `(column, probability)` entries, so it has exactly the edge store's
+//! flat, compressed and disk tiers, builder and row cursors. On the
+//! compressed and disk tiers an entry encodes as a zig-zag varint column
+//! delta plus a varint index into the deduplicated probability table.
 //!
 //! [`AbsorbingChain`](crate::AbsorbingChain) picks the tier matching the
 //! transition system it was built from, so a run selected with
 //! `ExploreOptions::with_edge_store(EdgeStoreKind::Compressed)` keeps its
 //! memory profile through the whole Markov pipeline: the solvers
-//! ([`crate::linalg`]) iterate rows through the [`QRows`] trait and never
-//! materialise a flat copy. The chain dispatches the tier once per
-//! solve, so the solver runs monomorphically over the concrete cursor
-//! ([`QStorage::row_iter`]'s per-entry enum is for callers that walk a
-//! few rows). The tradeoff is deliberate: every matrix-vector product of
-//! the BiCGSTAB solve re-decodes the stream (and, on the disk tier,
-//! re-faults chunks through the cache), paying time for the memory
-//! reduction that lets 10⁹-entry chains fit at all.
+//! ([`crate::linalg`]) iterate rows through the engine's `RowStore`
+//! trait and never materialise a flat copy. The chain dispatches the
+//! tier once per solve, so the solver runs monomorphically over the
+//! concrete cursor (the per-entry enum of [`QStorage::row_iter`] is for
+//! callers that walk a few rows). The tradeoff is deliberate: every
+//! matrix-vector product of the BiCGSTAB solve re-decodes the stream
+//! (and, on the disk tier, re-faults chunks through the cache), paying
+//! time for the memory reduction that lets 10⁹-entry chains fit at all.
 
-use stab_core::engine::edgestore::{invert_target_rows, DeltaStreamReader, DeltaStreamWriter};
-use stab_core::engine::spill::{SpillCursor, SpillSink, SpillStore};
-use stab_core::engine::{Csr, EdgeStoreKind, SpillConfig};
+use stab_core::engine::{Csr, RowStorage, RowStorageBuilder};
+
+/// One stored entry of `Q`: `(column j, probability Q_ij)`.
+pub type QEntry = (u32, f64);
 
 /// The flat `Q` tier: row `i` holds `(j, Q_ij)` entries sorted by `j`.
-pub type QMatrix = Csr<(u32, f64)>;
-
-/// Row-iteration access to a sparse substochastic matrix, implemented by
-/// both tiers and by the runtime-selected [`QStorage`]. The solvers are
-/// generic over it.
-pub trait QRows {
-    /// The row cursor.
-    type Row<'a>: Iterator<Item = (u32, f64)>
-    where
-        Self: 'a;
-    /// Number of rows.
-    fn n_rows(&self) -> usize;
-    /// Cursor over row `i`'s `(column, probability)` entries, ascending
-    /// by column.
-    fn row_iter(&self, i: usize) -> Self::Row<'_>;
-    /// Resident-set bytes backing the rows (the cache-pressure figure the
-    /// solvers feed their `Budget` probes). In-RAM tiers report 0 — their
-    /// footprint was already accounted at build time; the disk tier
-    /// reports offsets + probability table + pinned chunk cache.
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-}
-
-impl QRows for QMatrix {
-    type Row<'a> = std::iter::Copied<std::slice::Iter<'a, (u32, f64)>>;
-
-    fn n_rows(&self) -> usize {
-        QMatrix::n_rows(self)
-    }
-
-    fn row_iter(&self, i: usize) -> Self::Row<'_> {
-        self.row(i).iter().copied()
-    }
-}
-
-/// The compressed `Q` tier: byte-packed column deltas + interned
-/// probability table, u64 row offsets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedQ {
-    offsets: Vec<u64>,
-    stream: Vec<u8>,
-    probs: Vec<f64>,
-    n_entries: u64,
-}
-
-/// Zero-alloc decoding cursor over one compressed `Q` row.
-#[derive(Debug, Clone)]
-pub struct CompressedQRow<'a>(DeltaStreamReader<'a>);
-
-impl Iterator for CompressedQRow<'_> {
-    type Item = (u32, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, f64)> {
-        if self.0.done() {
-            return None;
-        }
-        Some((self.0.target(), self.0.prob()))
-    }
-}
-
-impl QRows for CompressedQ {
-    type Row<'a> = CompressedQRow<'a>;
-
-    fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn row_iter(&self, i: usize) -> CompressedQRow<'_> {
-        CompressedQRow(DeltaStreamReader::new(
-            &self.stream,
-            &self.offsets,
-            i,
-            &self.probs,
-        ))
-    }
-}
-
-/// The disk `Q` tier: the compressed byte stream spilled to `WSR1`
-/// chunk files, rows decoded out of a pinned-budget chunk cache. `Q` is
-/// working state (never checkpointed), so the spill always lives in a
-/// self-cleaning per-process temp directory sized by the engine's
-/// default chunk/cache budgets.
-#[derive(Debug)]
-pub struct DiskQ {
-    offsets: Vec<u64>,
-    probs: Vec<f64>,
-    n_entries: u64,
-    store: SpillStore,
-}
-
-/// Zero-alloc decoding cursor over one disk-tier `Q` row (the chunk is
-/// pinned by the cursor, so eviction under it is safe).
-#[derive(Debug, Clone)]
-pub struct DiskQRow<'a> {
-    cur: SpillCursor,
-    probs: &'a [f64],
-}
-
-impl Iterator for DiskQRow<'_> {
-    type Item = (u32, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, f64)> {
-        if self.cur.done() {
-            return None;
-        }
-        let j = self.cur.target();
-        Some((j, self.probs[self.cur.raw() as usize]))
-    }
-}
-
-impl QRows for DiskQ {
-    type Row<'a> = DiskQRow<'a>;
-
-    fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn row_iter(&self, i: usize) -> DiskQRow<'_> {
-        DiskQRow {
-            cur: self.store.row_cursor(&self.offsets, i),
-            probs: &self.probs,
-        }
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        (self.offsets.len() * std::mem::size_of::<u64>()
-            + self.probs.len() * std::mem::size_of::<f64>()) as u64
-            + self.store.resident_bytes()
-    }
-}
+pub type QMatrix = Csr<QEntry>;
 
 /// The per-run `Q` store of an [`AbsorbingChain`](crate::AbsorbingChain):
 /// whichever tier matches the transition system's edge store.
-// One instance per chain, so the Disk variant's inline size is moot.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum QStorage {
-    /// Flat CSR tier.
-    Flat(QMatrix),
-    /// Byte-packed compressed tier.
-    Compressed(CompressedQ),
-    /// Chunk-spilled disk tier.
-    Disk(DiskQ),
-}
+pub type QStorage = RowStorage<QEntry>;
 
-/// Cursor over one row of either `Q` tier.
-#[derive(Debug, Clone)]
-pub enum QRowIter<'a> {
-    /// Slice walk over the flat tier.
-    Flat(std::iter::Copied<std::slice::Iter<'a, (u32, f64)>>),
-    /// Varint decode over the compressed tier.
-    Compressed(CompressedQRow<'a>),
-    /// Varint decode out of the disk tier's chunk cache.
-    Disk(DiskQRow<'a>),
-}
-
-impl Iterator for QRowIter<'_> {
-    type Item = (u32, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, f64)> {
-        match self {
-            QRowIter::Flat(it) => it.next(),
-            QRowIter::Compressed(it) => it.next(),
-            QRowIter::Disk(it) => it.next(),
-        }
-    }
-}
-
-impl QStorage {
-    /// Which tier this store is.
-    pub fn kind(&self) -> EdgeStoreKind {
-        match self {
-            QStorage::Flat(_) => EdgeStoreKind::Flat,
-            QStorage::Compressed(_) => EdgeStoreKind::Compressed,
-            QStorage::Disk(_) => EdgeStoreKind::Disk,
-        }
-    }
-
-    /// Number of transient rows.
-    pub fn n_rows(&self) -> usize {
-        match self {
-            QStorage::Flat(q) => QMatrix::n_rows(q),
-            QStorage::Compressed(q) => QRows::n_rows(q),
-            QStorage::Disk(q) => QRows::n_rows(q),
-        }
-    }
-
-    /// Total stored entries (u64 — representable past 2³² on the
-    /// compressed tier).
-    pub fn n_entries(&self) -> u64 {
-        match self {
-            QStorage::Flat(q) => q.n_entries() as u64,
-            QStorage::Compressed(q) => q.n_entries,
-            QStorage::Disk(q) => q.n_entries,
-        }
-    }
-
-    /// Heap bytes held by the store (offsets + entries + side tables) —
-    /// the `Q`-side analogue of the engine's `edge_bytes`.
-    pub fn q_bytes(&self) -> u64 {
-        match self {
-            QStorage::Flat(q) => {
-                (q.n_entries() * std::mem::size_of::<(u32, f64)>()
-                    + (QMatrix::n_rows(q) + 1) * std::mem::size_of::<u32>()) as u64
-            }
-            QStorage::Compressed(q) => {
-                (q.stream.len()
-                    + q.offsets.len() * std::mem::size_of::<u64>()
-                    + q.probs.len() * std::mem::size_of::<f64>()) as u64
-            }
-            // Total comparable footprint: resident side tables plus the
-            // spilled stream (which other tiers hold in RAM).
-            QStorage::Disk(q) => {
-                (q.offsets.len() * std::mem::size_of::<u64>()
-                    + q.probs.len() * std::mem::size_of::<f64>()) as u64
-                    + q.store.spilled_bytes()
-            }
-        }
-    }
-
-    /// Resident-set bytes (see [`QRows::resident_bytes`]): equals
-    /// [`QStorage::q_bytes`] minus the spilled stream on the disk tier,
-    /// 0 on the in-RAM tiers.
-    pub fn resident_q_bytes(&self) -> u64 {
-        match self {
-            QStorage::Flat(_) | QStorage::Compressed(_) => 0,
-            QStorage::Disk(q) => QRows::resident_bytes(q),
-        }
-    }
-
-    /// Cursor over row `i`'s `(column, probability)` entries, ascending.
-    #[inline]
-    pub fn row_iter(&self, i: usize) -> QRowIter<'_> {
-        match self {
-            QStorage::Flat(q) => QRowIter::Flat(q.row(i).iter().copied()),
-            QStorage::Compressed(q) => QRowIter::Compressed(QRows::row_iter(q, i)),
-            QStorage::Disk(q) => QRowIter::Disk(QRows::row_iter(q, i)),
-        }
-    }
-
-    /// Row `i` decoded into a fresh vector (test and display convenience;
-    /// the solvers iterate [`QStorage::row_iter`] without allocating).
-    pub fn row_vec(&self, i: usize) -> Vec<(u32, f64)> {
-        self.row_iter(i).collect()
-    }
-
-    /// The reverse adjacency over columns (row `j` = rows with an entry
-    /// in column `j`, ascending with multiplicity), used by the
-    /// almost-sure-absorption closure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry count exceeds `u32::MAX` (the reverse CSR is
-    /// u32-offset — checked, never silently wrapped).
-    pub fn invert_targets(&self) -> Csr<u32> {
-        match self {
-            QStorage::Flat(q) => q.invert(|&(j, _)| j),
-            QStorage::Compressed(q) => invert_target_rows(QRows::n_rows(q), q.n_entries, |i| {
-                QRows::row_iter(q, i).map(|(j, _)| j)
-            }),
-            QStorage::Disk(q) => invert_target_rows(QRows::n_rows(q), q.n_entries, |i| {
-                QRows::row_iter(q, i).map(|(j, _)| j)
-            }),
-        }
-    }
-}
-
-impl QRows for QStorage {
-    type Row<'a> = QRowIter<'a>;
-
-    fn n_rows(&self) -> usize {
-        QStorage::n_rows(self)
-    }
-
-    fn row_iter(&self, i: usize) -> QRowIter<'_> {
-        QStorage::row_iter(self, i)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        QStorage::resident_q_bytes(self)
-    }
-}
-
-/// Tier-selected assembly of a `Q` store: rows appended in transient-index
-/// order.
-#[derive(Debug)]
-pub enum QStorageBuilder {
-    /// Accumulates counts + flat entries for `Csr::from_counts`.
-    Flat {
-        /// Per-row entry counts.
-        counts: Vec<u32>,
-        /// Concatenated row data.
-        entries: Vec<(u32, f64)>,
-    },
-    /// Streams rows straight into the compressed encoding — each item is
-    /// `(column delta, prob id)` through the engine's shared
-    /// [`DeltaStreamWriter`].
-    Compressed(DeltaStreamWriter),
-    /// Streams the compressed encoding and spills sealed chunks to a
-    /// temp directory as the pending tail crosses the chunk size.
-    Disk {
-        /// The shared delta encoder (its pending tail is what spills).
-        w: DeltaStreamWriter,
-        /// The chunk writer.
-        sink: SpillSink,
-    },
-}
-
-impl QStorageBuilder {
-    /// An empty builder of the selected tier.
-    pub fn new(kind: EdgeStoreKind) -> Self {
-        match kind {
-            EdgeStoreKind::Flat => QStorageBuilder::Flat {
-                counts: Vec::new(),
-                entries: Vec::new(),
-            },
-            EdgeStoreKind::Compressed => QStorageBuilder::Compressed(DeltaStreamWriter::new()),
-            // `Q` is never checkpointed, so the spill is always a
-            // self-cleaning temp directory with the default budgets.
-            EdgeStoreKind::Disk => QStorageBuilder::Disk {
-                w: DeltaStreamWriter::new(),
-                sink: SpillSink::create(&SpillConfig::default()),
-            },
-        }
-    }
-
-    /// Appends the next row (entries sorted by column, as the chain build
-    /// produces them).
-    pub fn push_row(&mut self, row: &[(u32, f64)]) {
-        match self {
-            QStorageBuilder::Flat { counts, entries } => {
-                counts
-                    .push(u32::try_from(row.len()).expect("Q row length exceeds u32::MAX entries"));
-                entries.extend_from_slice(row);
-            }
-            QStorageBuilder::Compressed(w) => {
-                for &(j, p) in row {
-                    w.target(j);
-                    w.prob(p);
-                }
-                w.end_row();
-            }
-            QStorageBuilder::Disk { w, sink } => {
-                for &(j, p) in row {
-                    w.target(j);
-                    w.prob(p);
-                }
-                w.end_row();
-                sink.maybe_spill(w);
-            }
-        }
-    }
-
-    /// Finalises the selected store.
-    pub fn finish(self) -> QStorage {
-        match self {
-            QStorageBuilder::Flat { counts, entries } => {
-                QStorage::Flat(QMatrix::from_counts(&counts, entries))
-            }
-            QStorageBuilder::Compressed(w) => {
-                let (offsets, stream, probs, n_entries) = w.into_parts();
-                QStorage::Compressed(CompressedQ {
-                    offsets,
-                    stream,
-                    probs,
-                    n_entries,
-                })
-            }
-            QStorageBuilder::Disk { mut w, mut sink } => {
-                if w.pending_len() > 0 {
-                    sink.spill(&mut w);
-                }
-                let (offsets, stream, probs, n_entries) = w.into_parts();
-                debug_assert!(stream.is_empty(), "disk builder spills its whole stream");
-                QStorage::Disk(DiskQ {
-                    offsets,
-                    probs,
-                    n_entries,
-                    store: sink.finish(),
-                })
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn build(kind: EdgeStoreKind, rows: &[Vec<(u32, f64)>]) -> QStorage {
-        let mut b = QStorageBuilder::new(kind);
-        for r in rows {
-            b.push_row(r);
-        }
-        b.finish()
-    }
-
-    #[test]
-    fn tiers_agree_row_for_row() {
-        let rows = vec![
-            vec![(0u32, 0.5), (2, 0.25)],
-            vec![],
-            vec![(1u32, 0.125), (2, 0.5), (3, 0.25)],
-            vec![(0u32, 0.5)],
-        ];
-        let flat = build(EdgeStoreKind::Flat, &rows);
-        let comp = build(EdgeStoreKind::Compressed, &rows);
-        let disk = build(EdgeStoreKind::Disk, &rows);
-        assert_eq!(flat.n_rows(), comp.n_rows());
-        assert_eq!(flat.n_rows(), disk.n_rows());
-        assert_eq!(flat.n_entries(), comp.n_entries());
-        assert_eq!(flat.n_entries(), disk.n_entries());
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(&flat.row_vec(i), row);
-            assert_eq!(&comp.row_vec(i), row, "row {i}");
-            assert_eq!(&disk.row_vec(i), row, "row {i}");
-        }
-        assert_eq!(flat.invert_targets(), comp.invert_targets());
-        assert_eq!(flat.invert_targets(), disk.invert_targets());
-        assert!(comp.q_bytes() < flat.q_bytes());
-        // The disk tier spills its whole stream; the resident set is the
-        // side tables plus whatever the cache pins — for a stream smaller
-        // than the cache budget that is everything, so resident may equal
-        // (never exceed) the total footprint.
-        assert!(disk.resident_q_bytes() <= disk.q_bytes());
-        match &disk {
-            QStorage::Disk(q) => assert!(q.store.spilled_bytes() > 0, "disk Q must spill"),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn kinds_are_reported() {
-        let flat = build(EdgeStoreKind::Flat, &[vec![(0, 1.0)]]);
-        let comp = build(EdgeStoreKind::Compressed, &[vec![(0, 1.0)]]);
-        let disk = build(EdgeStoreKind::Disk, &[vec![(0, 1.0)]]);
-        assert_eq!(flat.kind(), EdgeStoreKind::Flat);
-        assert_eq!(comp.kind(), EdgeStoreKind::Compressed);
-        assert_eq!(disk.kind(), EdgeStoreKind::Disk);
-    }
-}
+/// Tier-selected assembly of a [`QStorage`]: rows appended in
+/// transient-index order. On the disk tier `Q` is working state (never
+/// checkpointed), so [`QStorageBuilder::new`] spills to a self-cleaning
+/// temporary directory with the default budgets.
+pub type QStorageBuilder = RowStorageBuilder<QEntry>;
